@@ -7,27 +7,6 @@ import (
 	"drowsydc/internal/trace"
 )
 
-// TestVMActivityCachingEquivalence asserts the cached and uncached
-// activity paths return bit-identical levels.
-func TestVMActivityCachingEquivalence(t *testing.T) {
-	gen := trace.RealTrace(2)
-	cached := NewVM(0, "c", KindLLMI, 4, 2, gen)
-	plain := NewVM(1, "p", KindLLMI, 4, 2, gen)
-	plain.SetCaching(false)
-	for h := simtime.Hour(0); h < simtime.Hour(simtime.HoursPerYear); h += 11 {
-		if got, want := cached.Activity(h), plain.Activity(h); got != want {
-			t.Fatalf("Activity(%d): cached %v, uncached %v", h, got, want)
-		}
-	}
-	// Re-enabling builds a fresh memo that must agree too.
-	plain.SetCaching(true)
-	for h := simtime.Hour(0); h < 1000; h += 3 {
-		if got, want := plain.Activity(h), cached.Activity(h); got != want {
-			t.Fatalf("Activity(%d) after re-enable: %v vs %v", h, got, want)
-		}
-	}
-}
-
 // TestVMActivityAllocationFree guards the steady-state activity path.
 func TestVMActivityAllocationFree(t *testing.T) {
 	v := NewVM(0, "v", KindLLMI, 4, 2, trace.RealTrace(1))

@@ -62,21 +62,12 @@ type VM struct {
 
 	host       *Host
 	migrations int
-	// cache memoizes Gen's pure hourly levels: the runtime and the
-	// policies query the same (VM, hour) activity many times per
-	// simulated hour, and re-evaluating the generator closure chain
-	// dominated simulation CPU before memoization. Nil when caching is
-	// disabled (see SetCaching).
-	cache *trace.CachedGenerator
-	// shared, when set, replaces the private cache with a concurrent
-	// store shared by every VM replaying the same archetype trace (see
-	// SetSharedTrace). Checked before cache in Activity.
-	shared *trace.Shared
-	// variant, when set, replaces the private cache with a
-	// copy-on-write view over a shared base-trace store: the base
-	// memo's chunks plus an O(1) per-hour shift+jitter overlay (see
-	// SetVariantMemo). Checked after shared in Activity.
-	variant *trace.VariantMemo
+	// src serves Gen's hourly levels: the runtime and the policies
+	// query the same (VM, hour) activity many times per simulated hour,
+	// and re-evaluating the generator closure chain dominated
+	// simulation CPU before memoization. NewVM gives every VM a private
+	// memo; SetStores swaps in a store shared by a workload group.
+	src trace.Source
 	// tlSeed seeds the within-hour burst expansion consumed by the
 	// sub-hourly simulation mode (internal/timeline). It defaults to a
 	// hash of the VM ID; scenario materialization overrides it with a
@@ -84,13 +75,12 @@ type VM struct {
 	// replay identical bursts.
 	tlSeed    uint64
 	tlSeedSet bool
-	// tl memoizes the VM's burst timelines (lazily built; nil while the
-	// VM has never been queried or when caching is disabled).
-	tl *trace.TimelineMemo
-	// sharedTL, when set, replaces the private timeline memo with a
-	// concurrent store shared by a replicated population (see
-	// SetSharedTimeline).
-	sharedTL *trace.SharedTimeline
+	// tl serves the VM's burst timelines: a shared store attached by
+	// SetStores, or a private memo over src built on the first Bursts
+	// call. Nil until then, and again after a reseed.
+	tl interface {
+		Bursts(simtime.Hour) []timeline.Burst
+	}
 }
 
 // NewVM constructs a VM with a fresh idleness model.
@@ -99,58 +89,26 @@ func NewVM(id int, name string, kind Kind, memGB, vcpus int, gen trace.Generator
 		panic(fmt.Sprintf("cluster: VM %q with non-positive capacity", name))
 	}
 	return &VM{ID: id, Name: name, Kind: kind, MemGB: memGB, VCPUs: vcpus, Gen: gen,
-		Model: core.New(), cache: trace.Cached(gen)}
+		Model: core.New(), src: trace.Cached(gen)}
 }
 
-// SetCaching enables or disables activity memoization (enabled by
-// default). Generators are pure, so the cached and uncached paths
-// return bit-identical levels; disabling exists for the equivalence
-// tests and for callers that mutate Gen mid-run. Disabling also
-// detaches a shared-trace store.
-func (v *VM) SetCaching(on bool) {
-	if !on {
-		v.cache = nil
-		v.shared = nil
-		v.variant = nil
-		v.tl = nil
-		v.sharedTL = nil
-	} else if v.cache == nil && v.shared == nil && v.variant == nil {
-		v.cache = trace.Cached(v.Gen)
-	}
-}
-
-// SetSharedTrace points the VM at a concurrent shared-trace store
-// instead of its private memo, so populations of VMs replaying one
-// archetype trace share a single memo (internal/scenario's replicated
-// workload groups). s must wrap the VM's own generator — generators are
-// pure, so the levels are bit-identical either way, but a mismatched
-// store would silently replace the workload. Passing nil restores the
-// private cache.
-func (v *VM) SetSharedTrace(s *trace.Shared) {
-	v.shared = s
-	if s != nil {
-		v.cache = nil
-		v.variant = nil
-	} else if v.cache == nil && v.variant == nil {
-		v.cache = trace.Cached(v.Gen)
-	}
-}
-
-// SetVariantMemo points the VM at a copy-on-write variant memo instead
-// of its private cache: the base trace's chunks are shared by the whole
-// workload group while the VM's phase shift and jitter are overlaid per
-// read (internal/scenario's non-replicated groups). m must encode the
-// VM's own generator derivation — the overlay is pure, so the levels
-// are bit-identical to the private memo either way, but a mismatched
-// memo would silently replace the workload. Passing nil restores the
-// private cache.
-func (v *VM) SetVariantMemo(m *trace.VariantMemo) {
-	v.variant = m
-	if m != nil {
-		v.cache = nil
-		v.shared = nil
-	} else if v.cache == nil && v.shared == nil {
-		v.cache = trace.Cached(v.Gen)
+// SetStores points the VM at stores shared by a workload group instead
+// of its private memos (internal/scenario's replicated and variant
+// groups): src replaces the activity memo and tl, when non-nil, the
+// timeline memo. src must serve the VM's own generator and tl must
+// wrap the same levels — the stores are pure, so the results are
+// bit-identical either way, but a mismatched store would silently
+// replace the workload. A tl carrying a seed other than the VM's
+// timeline seed panics for the same reason.
+func (v *VM) SetStores(src trace.Source, tl *trace.SharedTimeline) {
+	v.src = src
+	v.tl = nil
+	if tl != nil {
+		if tl.Seed() != v.TimelineSeed() {
+			panic(fmt.Sprintf("cluster: VM %s timeline seed %#x mismatches shared store seed %#x",
+				v.Name, v.TimelineSeed(), tl.Seed()))
+		}
+		v.tl = tl
 	}
 }
 
@@ -165,64 +123,26 @@ func (v *VM) TimelineSeed() uint64 {
 	return timeline.MixSeed(0xd40b5eed, uint64(v.ID))
 }
 
-// SetTimelineSeed fixes the VM's burst-expansion seed, dropping any
-// memoized timelines (they would encode the old seed).
+// SetTimelineSeed fixes the VM's burst-expansion seed, dropping the
+// attached timeline memo, private or shared: it encodes the old seed.
 func (v *VM) SetTimelineSeed(seed uint64) {
 	v.tlSeed = seed
 	v.tlSeedSet = true
 	v.tl = nil
 }
 
-// SetSharedTimeline points the VM at a concurrent shared timeline store
-// instead of its private memo (the timeline counterpart of
-// SetSharedTrace, used by replicated workload groups). The store must
-// carry the VM's own timeline seed — the expansion is pure, so the
-// bursts are bit-identical either way, but a mismatched seed would
-// silently replace the workload's within-hour shape. Passing nil
-// restores the private path.
-func (v *VM) SetSharedTimeline(s *trace.SharedTimeline) {
-	if s != nil && s.Seed() != v.TimelineSeed() {
-		panic(fmt.Sprintf("cluster: VM %s timeline seed %#x mismatches shared store seed %#x",
-			v.Name, v.TimelineSeed(), s.Seed()))
-	}
-	v.sharedTL = s
-	if s != nil {
-		v.tl = nil
-	}
-}
-
 // Bursts returns the VM's within-hour burst timeline for hour h: the
 // deterministic expansion of its activity level into request bursts
-// and idle gaps (internal/timeline). Memoized like Activity; with
-// caching disabled (SetCaching(false)) it recomputes the pure expansion
-// on every call, bit-identically.
+// and idle gaps (internal/timeline), memoized like Activity.
 func (v *VM) Bursts(h simtime.Hour) []timeline.Burst {
-	if v.sharedTL != nil {
-		return v.sharedTL.Bursts(h)
-	}
-	if v.cache == nil && v.shared == nil && v.variant == nil {
-		// Caching disabled: stay uncached end to end.
-		return timeline.Expand(v.TimelineSeed(), h, v.Activity(h))
-	}
 	if v.tl == nil {
-		v.tl = trace.NewTimelineMemo(v.TimelineSeed())
+		v.tl = trace.NewTimelineMemo(v.TimelineSeed(), v.src)
 	}
-	return v.tl.Bursts(h, v.Activity(h))
+	return v.tl.Bursts(h)
 }
 
 // Activity returns the VM's activity level for the given hour.
-func (v *VM) Activity(h simtime.Hour) float64 {
-	if v.shared != nil {
-		return v.shared.Activity(h)
-	}
-	if v.variant != nil {
-		return v.variant.Activity(h)
-	}
-	if v.cache != nil {
-		return v.cache.Activity(h)
-	}
-	return v.Gen.Activity(h)
-}
+func (v *VM) Activity(h simtime.Hour) float64 { return v.src.Activity(h) }
 
 // Host returns the VM's current host, or nil when unplaced.
 func (v *VM) Host() *Host { return v.host }

@@ -9,10 +9,9 @@ import (
 	"drowsydc/internal/trace"
 )
 
-// TestVMBurstsEquivalence checks that every timeline access path of a
-// VM — private memo, shared store, caching disabled — yields
-// bit-identical bursts (the sub-hourly counterpart of the cached
-// activity equivalence).
+// TestVMBurstsEquivalence checks that both timeline access paths of a
+// VM — private memo and shared store — yield bit-identical bursts, equal
+// to the direct expansion.
 func TestVMBurstsEquivalence(t *testing.T) {
 	g := trace.RealTrace(1)
 	seed := timeline.MixSeed(3, 0x0ff1ce, 0)
@@ -25,20 +24,15 @@ func TestVMBurstsEquivalence(t *testing.T) {
 	sharedTL := trace.NewSharedTimeline(seed, sharedTrace, horizon)
 	shared := NewVM(0, "s", KindLLMI, 4, 2, g)
 	shared.SetTimelineSeed(seed)
-	shared.SetSharedTrace(sharedTrace)
-	shared.SetSharedTimeline(sharedTL)
-
-	uncached := NewVM(0, "u", KindLLMI, 4, 2, g)
-	uncached.SetTimelineSeed(seed)
-	uncached.SetCaching(false)
+	shared.SetStores(sharedTrace, sharedTL)
 
 	for h := simtime.Hour(0); h < horizon; h++ {
-		a, b, c := private.Bursts(h), shared.Bursts(h), uncached.Bursts(h)
+		a, b, c := private.Bursts(h), shared.Bursts(h), timeline.Expand(seed, h, g.Activity(h))
 		if len(a) == 0 && len(b) == 0 && len(c) == 0 {
 			continue
 		}
 		if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(a, c) {
-			t.Fatalf("hour %d: private %v shared %v uncached %v", h, a, b, c)
+			t.Fatalf("hour %d: private %v shared %v direct %v", h, a, b, c)
 		}
 		if timeline.BusySeconds(a) == 0 {
 			t.Fatalf("hour %d: active hour expanded to zero busy seconds", h)
@@ -80,5 +74,34 @@ func TestVMSharedTimelineSeedMismatch(t *testing.T) {
 			t.Fatal("seed mismatch did not panic")
 		}
 	}()
-	v.SetSharedTimeline(st)
+	v.SetStores(trace.NewShared(g, 24), st)
+}
+
+// TestVMReseedDropsSharedTimeline pins that a reseed detaches every
+// attached timeline memo, shared stores included: bursts must follow
+// the new seed, never replay the shared store's old one.
+func TestVMReseedDropsSharedTimeline(t *testing.T) {
+	g := trace.RealTrace(1)
+	const horizon = 7 * 24
+	v := NewVM(0, "v", KindLLMI, 4, 2, g)
+	v.SetTimelineSeed(11)
+	src := trace.NewShared(g, horizon)
+	v.SetStores(src, trace.NewSharedTimeline(11, src, horizon))
+	v.Bursts(0)
+	v.SetTimelineSeed(22)
+	active := 0
+	for h := simtime.Hour(0); h < horizon; h++ {
+		want := timeline.Expand(22, h, v.Activity(h))
+		got := v.Bursts(h)
+		if len(want) == 0 && len(got) == 0 {
+			continue
+		}
+		active++
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("hour %d after reseed: got %v, want %v", h, got, want)
+		}
+	}
+	if active == 0 {
+		t.Fatal("no active hour; the test checks nothing")
+	}
 }

@@ -263,11 +263,8 @@ func ResumeRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy, st *che
 		})
 		rt.resumedAt = simtime.Time(hs.ResumedAt)
 		switch power.State(hs.PState) {
-		case power.StateActive:
-			// Columns default to awake.
+		case power.StateActive, power.StateOff:
 		case power.StateSuspended:
-			r.cols.SetHostAwake(rt.cidx, false)
-			r.cols.SetHostSuspended(rt.cidx, true)
 			// Re-register the sleeper with its waking module: the switch's
 			// VM→MAC mappings always reflect residency at suspension (a
 			// migration endpoint is woken first), so current residency is
@@ -279,8 +276,6 @@ func ResumeRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy, st *che
 				vms = append(vms, netsim.VMID(v.ID))
 			}
 			rt.sh.wm.HostSuspended(netsim.MAC(h.ID), vms, simtime.Time(hs.WakeAt), hs.HasWake)
-		case power.StateOff:
-			r.cols.SetHostAwake(rt.cidx, false)
 		default:
 			return nil, fmt.Errorf("dcsim: host %d checkpointed mid-transition (power state %d)", hs.ID, hs.PState)
 		}

@@ -260,9 +260,6 @@ type hostRT struct {
 	// latency interaction of the host routes through it, so the host
 	// phases of distinct shards touch disjoint state.
 	sh *shard
-	// cidx is the host's index into the runtime's hot-state columns
-	// (cluster.Columns), assigned in Cluster.Hosts() order.
-	cidx int
 	// packetWoken marks that the current hour's resume was triggered by
 	// an inbound request (so the first request pays the wake latency).
 	packetWoken bool
@@ -359,17 +356,20 @@ type Runner struct {
 	rts     map[int]*hostRT // host ID → runtime
 	// net is the lossy WoL delivery model (nil = perfect delivery);
 	// netCfg is its resolved configuration. The per-MAC attempt serials
-	// inside are written only by the owning host's shard, like the hot
-	// columns.
+	// inside are written only by the owning host's shard, like the
+	// per-slot state.
 	net    *netsim.LossModel
 	netCfg netsim.Config
-	// cols holds the per-VM/per-host hot state as struct-of-arrays
-	// columns: hourly activity and idle flags (written by the host
-	// phase, read by the observation phase), the keyed IP memo, and the
-	// host awake/suspended flags mirroring the power-state machines.
-	cols *cluster.Columns
-	// slotOf maps a VM ID to its column slot (allVMs order; slots are
-	// never reused after departure).
+	// slotAct is each VM slot's activity level for the hour being
+	// played: written by the host phase, read by the observation phase.
+	// During the parallel phases a slot is written only by the shard
+	// owning its VM's current host, so element writes never race.
+	slotAct []float64
+	// ip is the keyed per-slot IP memo behind hostProbability.
+	ip ipMemo
+	// slotOf maps a VM ID to its slot in slotAct and ip (allVMs order:
+	// arrivals get their slots at construction, and slots are never
+	// reused after departure).
 	slotOf map[int]int
 	// allVMs fixes the reporting order: the cluster's initial VMs
 	// followed by the scheduled arrivals.
@@ -460,7 +460,8 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 		}
 		r.slotOf[v.ID] = i
 	}
-	r.cols = cluster.NewColumns(len(r.allVMs), len(c.Hosts()))
+	r.slotAct = make([]float64, len(r.allVMs))
+	r.ip = newIPMemo(len(r.allVMs))
 	if cfg.Network != nil {
 		nc := cfg.Network.WithDefaults()
 		if err := nc.Validate(); err != nil {
@@ -544,11 +545,9 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 			procOf:  make(map[int]int),
 			timerAt: make(map[int]simtime.Time),
 			sh:      sh,
-			cidx:    i,
 		}
 		rt.monitor.OnResume(start, 0.5)
 		rt.resumedAt = start
-		r.cols.SetHostAwake(i, true) // machines start active
 		sh.hosts = append(sh.hosts, rt)
 		r.rts[h.ID] = rt
 	}
@@ -563,7 +562,7 @@ func (r *Runner) WakingModule() *waking.Module { return r.shards[0].wm }
 // WoLs are generated by the host's own shard (packet and scheduled
 // wakes are self-wakes) or by the serial management phases, so the
 // state it touches — the host, its shard's engine clock and waking
-// module, the host's column slots — is never contended.
+// module, the host's VM slots — is never contended.
 func (r *Runner) onWoL(mac netsim.MAC) {
 	rt, ok := r.rts[int(mac)]
 	if !ok {
@@ -637,8 +636,6 @@ func (r *Runner) resumeHost(rt *hostRT, delay float64) {
 	rt.machine.Transition(now, power.StateResuming)
 	rt.machine.Transition(now+rt.profile.ResumeLatency, power.StateActive)
 	rt.resumedAt = simtime.Time(math.Ceil(now + rt.profile.ResumeLatency))
-	r.cols.SetHostSuspended(rt.cidx, false)
-	r.cols.SetHostAwake(rt.cidx, true)
 	hr := simtime.HourOf(simtime.Time(now))
 	rt.monitor.OnResume(rt.resumedAt, r.hostProbability(rt, hr))
 	sh.wm.HostResumed(netsim.MAC(rt.host.ID))
@@ -647,7 +644,7 @@ func (r *Runner) resumeHost(rt *hostRT, delay float64) {
 // hostProbability computes the host's normalized idleness probability
 // for hour hr — cluster.Host.Probability bit for bit: the mean of the
 // resident VMs' IPs in residency order, mapped onto [0, 1]. Per-VM IPs
-// are served from the columns' keyed memo; the key pairs the hour with
+// are served from the keyed slot memo; the key pairs the hour with
 // the observation epoch (bumped after every observe phase), so a hit
 // is guaranteed to be the value IPAt would compute against the models'
 // current state.
@@ -656,14 +653,14 @@ func (r *Runner) hostProbability(rt *hostRT, hr simtime.Hour) float64 {
 	if len(vms) == 0 {
 		return 0.5 // empty host: IP 0 (undetermined)
 	}
-	key := r.cols.IPMemoKey(hr)
+	key := r.ip.key(hr)
 	sum := 0.0
 	for _, v := range vms {
 		slot := r.slotOf[v.ID]
-		ip, ok := r.cols.IPMemo(slot, key)
+		ip, ok := r.ip.get(slot, key)
 		if !ok {
 			ip = v.Model.IPAt(hr)
-			r.cols.StoreIPMemo(slot, key, ip)
+			r.ip.put(slot, key, ip)
 		}
 		sum += ip
 	}
@@ -784,7 +781,7 @@ func (r *Runner) Run() *Result {
 		// Parallel host phase: each shard plays the hour on its hosts in
 		// global order. Shards share no mutable state here — wakes are
 		// self-wakes on the shard's own engine and waking module, latency
-		// lands in shard-local collectors, and the activity columns are
+		// lands in shard-local collectors, and slot activities are
 		// written at disjoint slots (a VM's slot belongs to its current
 		// host's shard; placement only changes in the serial phases).
 		r.parFor(len(r.shards), func(s int) {
@@ -799,7 +796,7 @@ func (r *Runner) Run() *Result {
 		}
 
 		// Parallel observation phase: feed the idleness models from the
-		// activity columns, one batched pass per shard (host-major, so a
+		// slot activities, one batched pass per shard (host-major, so a
 		// model is touched by exactly one shard). Models are mutually
 		// independent, so the host-major order observes the same bits
 		// the serial VM-order loop would. The calendar stamp is shared
@@ -812,7 +809,7 @@ func (r *Runner) Run() *Result {
 			for _, rt := range sh.hosts {
 				for _, v := range rt.host.VMs() {
 					sh.obsModels = append(sh.obsModels, v.Model)
-					sh.obsActs = append(sh.obsActs, r.cols.Activity(r.slotOf[v.ID]))
+					sh.obsActs = append(sh.obsActs, r.slotAct[r.slotOf[v.ID]])
 				}
 			}
 			core.ObserveColumn(st, sh.obsModels, sh.obsActs)
@@ -824,7 +821,7 @@ func (r *Runner) Run() *Result {
 		// Serial reduction: the models advanced an epoch, retiring every
 		// memoized IP; then the hourly recorders and heartbeats run in
 		// deterministic order.
-		r.cols.AdvanceIPEpoch()
+		r.ip.advance()
 		if rec, ok := r.policy.(cluster.HourRecorder); ok {
 			rec.RecordHour(c, hr)
 		}
@@ -964,13 +961,7 @@ func (r *Runner) applyPlacementChanges(before map[int]int) {
 
 // wakeForManagement resumes a suspended/off host for a management
 // operation (migration endpoint), without request-latency accounting.
-// The awake column pre-screens the common case — the host is running —
-// without touching the power machine; the state re-check keeps the
-// transient states (suspending/resuming) out, exactly as before.
 func (r *Runner) wakeForManagement(rt *hostRT) {
-	if r.cols.HostAwake(rt.cidx) {
-		return
-	}
 	if s := rt.machine.State(); s == power.StateSuspended || s == power.StateOff {
 		r.onWoL(netsim.MAC(rt.host.ID))
 	}
@@ -978,7 +969,7 @@ func (r *Runner) wakeForManagement(rt *hostRT) {
 
 // playHour simulates one host for one hour starting at t0. It runs on
 // the host's shard (possibly concurrently with other shards' hosts)
-// and touches only shard-owned state plus the host's own column slots.
+// and touches only shard-owned state plus the host's own VM slots.
 func (r *Runner) playHour(rt *hostRT, hr simtime.Hour, t0 simtime.Time) {
 	h := rt.host
 	sh := rt.sh
@@ -997,10 +988,8 @@ func (r *Runner) playHour(rt *hostRT, hr simtime.Hour, t0 simtime.Time) {
 		switch rt.machine.State() {
 		case power.StateActive:
 			rt.machine.Transition(from, power.StateOff)
-			r.cols.SetHostAwake(rt.cidx, false)
 		case power.StateSuspended:
 			rt.machine.Transition(from, power.StateOff)
-			r.cols.SetHostSuspended(rt.cidx, false)
 			sh.wm.HostResumed(netsim.MAC(h.ID)) // clear stale mappings
 		}
 		return
@@ -1010,8 +999,8 @@ func (r *Runner) playHour(rt *hostRT, hr simtime.Hour, t0 simtime.Time) {
 	// below consult this hour's levels): any VM above the noise floor
 	// pins the host awake for the whole hour. The utilization sum
 	// accumulates in h.VMs() order, exactly as Host.Utilization does.
-	// Levels and idle flags land in the activity columns for the
-	// observation phase (and diagnostics) to sweep.
+	// Levels land in the slot activities for the observation phase to
+	// sweep.
 	vms := h.VMs()
 	if cap(sh.actBuf) < len(vms) {
 		sh.actBuf = make([]float64, len(vms))
@@ -1022,7 +1011,7 @@ func (r *Runner) playHour(rt *hostRT, hr simtime.Hour, t0 simtime.Time) {
 	for i, v := range vms {
 		a := v.Activity(hr)
 		acts[i] = a
-		r.cols.SetActivity(r.slotOf[v.ID], a, a < core.DefaultNoiseFloor)
+		r.slotAct[r.slotOf[v.ID]] = a
 		if a >= core.DefaultNoiseFloor {
 			busyHour = true
 		}
@@ -1166,8 +1155,6 @@ func (r *Runner) maybeSuspendUntil(rt *hostRT, from, limit simtime.Time) {
 	}
 	rt.machine.Transition(float64(suspendAt), power.StateSuspending)
 	rt.machine.Transition(done, power.StateSuspended)
-	r.cols.SetHostAwake(rt.cidx, false)
-	r.cols.SetHostSuspended(rt.cidx, true)
 	rt.monitor.OnSuspend()
 	vms := make([]netsim.VMID, 0, rt.host.NumVMs())
 	for _, v := range rt.host.VMs() {

@@ -7,7 +7,6 @@ import (
 
 	"drowsydc/internal/cluster"
 	"drowsydc/internal/drowsy"
-	"drowsydc/internal/power"
 	"drowsydc/internal/trace"
 )
 
@@ -142,30 +141,6 @@ func TestCrossShardChurnEquivalence(t *testing.T) {
 	}
 	if len(serial.PerVMMigrations) != 16+2 {
 		t.Fatalf("reporting covers %d VMs, want 18", len(serial.PerVMMigrations))
-	}
-}
-
-// TestColumnsMirrorMachineState: the awake/suspended hot columns are a
-// cache of the per-host power state machines; after a suspend-heavy
-// multi-shard run every flag must agree with the authoritative state.
-func TestColumnsMirrorMachineState(t *testing.T) {
-	c := shardedFleet(16)
-	r := NewRunner(Config{
-		Hours: 5 * 24, EnableSuspend: true, UseGrace: true,
-		ShardWorkers: 4, ShardHostSpan: 3,
-	}, c, drowsy.New(drowsy.Options{FullRelocation: true}))
-	res := r.Run()
-	if res.GlobalSuspFrac <= 0 {
-		t.Fatal("fleet never suspended; test exercises nothing")
-	}
-	for _, rt := range r.rts {
-		st := rt.machine.State()
-		if got, want := r.cols.HostAwake(rt.cidx), st == power.StateActive; got != want {
-			t.Errorf("host %d: awake column %v, machine state %v", rt.host.ID, got, st)
-		}
-		if got, want := r.cols.HostSuspended(rt.cidx), st == power.StateSuspended; got != want {
-			t.Errorf("host %d: suspended column %v, machine state %v", rt.host.ID, got, st)
-		}
 	}
 }
 

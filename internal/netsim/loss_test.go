@@ -312,3 +312,33 @@ func TestLossModelNilTopology(t *testing.T) {
 		t.Fatal("domain-0 relay not applied under nil topology")
 	}
 }
+
+// TestLossModelSerialsRoundTrip: the attempt serials are the model's
+// only mutable state, so a fresh model restored from a captured copy
+// must resolve every later transaction exactly as the original does,
+// and a capture from a different fleet size is rejected.
+func TestLossModelSerialsRoundTrip(t *testing.T) {
+	cfg := lossCfg(t, Config{WakeLoss: 0.4, Seed: 0xc0ffee})
+	subnets := []int{0, 1, 0, 1}
+	orig := NewLossModel(cfg, subnets, 4)
+	for _, mac := range []MAC{0, 1, 1, 3, 2, 1} {
+		orig.Resolve(mac)
+	}
+	saved := orig.Serials()
+	restored := NewLossModel(cfg, subnets, 4)
+	if err := restored.RestoreSerials(saved); err != nil {
+		t.Fatal(err)
+	}
+	for _, mac := range []MAC{1, 0, 3, 3, 2, 1, 0} {
+		if a, b := orig.Resolve(mac), restored.Resolve(mac); a != b {
+			t.Fatalf("mac %d: original %+v, restored %+v", mac, a, b)
+		}
+	}
+	saved[0]++ // Serials hands out a copy
+	if reflect.DeepEqual(saved, orig.Serials()) {
+		t.Fatal("Serials aliases the model's state")
+	}
+	if err := restored.RestoreSerials(saved[:3]); err == nil {
+		t.Fatal("restoring 3 serials into a 4-host model succeeded")
+	}
+}

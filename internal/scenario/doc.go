@@ -25,7 +25,7 @@
 // (trace.Shared) across all of their VMs, in all concurrently running
 // policy cells: hundreds of VMs replaying one archetype trace pay the
 // closure-chain evaluation once per hour total, instead of once per VM.
-// Generators are pure, so shared-store and private-cache runs are
-// bit-identical (asserted by equivalence_test.go, along with serial vs
-// parallel execution).
+// Generators are pure, so shared-store runs are bit-identical to runs
+// on per-VM private memos (asserted by equivalence_test.go, along with
+// serial vs parallel execution).
 package scenario

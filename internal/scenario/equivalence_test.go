@@ -62,9 +62,14 @@ func TestSweepSerialParallelIdentical(t *testing.T) {
 	}
 }
 
+// privateStores resolves no shared stores, so every VM keeps the
+// private memos NewVM gives it: the reference every shared-store run
+// must match bit for bit.
+func privateStores(Scenario) runStores { return runStores{} }
+
 // TestSweepSharedPrivateIdentical compares a sweep with the shared
 // trace store (one memo spanning every point × policy cell) against
-// private per-VM caches.
+// private per-VM memos.
 func TestSweepSharedPrivateIdentical(t *testing.T) {
 	sc := small("flash-crowd")
 	sc.Sweep = Sweep{Param: "rebalance", Values: []float64{3, 12}}
@@ -72,12 +77,12 @@ func TestSweepSharedPrivateIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	private, err := RunSweep(sc, Options{PrivateCaches: true})
+	private, err := runSweep(sc, Options{}, privateStores)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(shared, private) {
-		t.Fatalf("shared-store and private-cache sweep reports differ\nshared:  %+v\nprivate: %+v",
+		t.Fatalf("shared-store and private-memo sweep reports differ\nshared:  %+v\nprivate: %+v",
 			shared, private)
 	}
 }
@@ -125,7 +130,7 @@ func TestSweepPointMatchesPlainRun(t *testing.T) {
 }
 
 // TestSharedPrivateIdentical compares the shared-trace store against
-// per-VM private caches, with cells running concurrently in both modes
+// per-VM private memos, with cells running concurrently in both modes
 // so the shared store sees real cross-cell contention.
 func TestSharedPrivateIdentical(t *testing.T) {
 	for _, name := range equivFamilies {
@@ -134,12 +139,12 @@ func TestSharedPrivateIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		private, err := Run(sc, Options{PrivateCaches: true})
+		private, err := run(sc, Options{}, privateStores)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(shared, private) {
-			t.Fatalf("%s: shared-store and private-cache reports differ\nshared:  %+v\nprivate: %+v",
+			t.Fatalf("%s: shared-store and private-memo reports differ\nshared:  %+v\nprivate: %+v",
 				name, shared, private)
 		}
 	}

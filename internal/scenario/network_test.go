@@ -54,7 +54,11 @@ func TestLossyWanDeterminism(t *testing.T) {
 		sc := lossyWan(6, 3)
 		sc.Tuning.ShardWorkers = workers
 		for _, private := range []bool{false, true} {
-			got, err := Run(sc, Options{PrivateCaches: private})
+			resolve := Options{}.stores
+			if private {
+				resolve = privateStores
+			}
+			got, err := run(sc, Options{}, resolve)
 			if err != nil {
 				t.Fatalf("shard-workers %d private %v: %v", workers, private, err)
 			}

@@ -23,11 +23,6 @@ type Options struct {
 	// GOMAXPROCS, 1 = serial — the mode the equivalence tests compare
 	// against).
 	Workers int
-	// PrivateCaches disables the shared-trace stores, giving every VM
-	// its own private memo (the pre-scenario behaviour). Exists for the
-	// shared-vs-private equivalence test and for memory-vs-sharing
-	// experiments. It wins over Stores.
-	PrivateCaches bool
 	// Stores, when non-nil, sources the shared trace/timeline stores
 	// from a server-lifetime cache instead of building per-run ones, so
 	// repeated runs of the same workload structure (a drowsyd serving
@@ -155,13 +150,20 @@ func writeIndentedJSON(w io.Writer, v any) error {
 // silently ignoring the axis would report one arbitrary grid point as
 // the whole curve; use RunSweep.
 func Run(sc Scenario, opt Options) (*Report, error) {
+	return run(sc, opt, opt.stores)
+}
+
+// run is Run with the store resolution injected: the shared == private
+// equivalence tests pass a resolver returning the zero runStores, which
+// materialize treats as per-VM private memos.
+func run(sc Scenario, opt Options, resolve func(Scenario) runStores) (*Report, error) {
 	if sc.Sweep.Enabled() {
 		return nil, fmt.Errorf("scenario %s: Run on a scenario with a sweep axis (use RunSweep)", sc.Name)
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	stores := opt.stores(sc)
+	stores := resolve(sc)
 	cols := sc.policies()
 	progress := opt.progressCounter(len(cols))
 	// Probes are minted serially in cell order so recorder creation is
@@ -185,13 +187,9 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 	return &rep, nil
 }
 
-// stores resolves which shared stores a run uses: none under
-// PrivateCaches, the server-lifetime cache's when Stores is set,
-// per-run ones otherwise.
+// stores resolves which shared stores a run uses: the server-lifetime
+// cache's when Stores is set, per-run ones otherwise.
 func (opt Options) stores(sc Scenario) runStores {
-	if opt.PrivateCaches {
-		return runStores{}
-	}
 	if opt.Stores != nil {
 		return opt.Stores.storesFor(sc)
 	}

@@ -447,17 +447,14 @@ func (sc Scenario) materialize(st runStores) (
 			// bursts whether or not stores are shared.
 			v.SetTimelineSeed(memberTimelineSeed(gi, g, i))
 			if s, ok := st.traces[gi]; ok {
-				v.SetSharedTrace(s)
+				v.SetStores(s, st.timelines[gi])
 			}
 			if vs, ok := st.variants[gi]; ok {
 				// The memo's derivation must be exactly memberGen's:
 				// same seed, shift and jitter over the same base, which
 				// is what makes it bit-identical to a private memo.
-				v.SetVariantMemo(trace.NewVariantMemo(
-					vs, g.Seed+uint64(i), memberShift(g, i), sc.jitterAmount()))
-			}
-			if tl, ok := st.timelines[gi]; ok {
-				v.SetSharedTimeline(tl)
+				v.SetStores(trace.NewVariantMemo(
+					vs, g.Seed+uint64(i), memberShift(g, i), sc.jitterAmount()), nil)
 			}
 			vmID++
 			if at > sc.Start {

@@ -32,7 +32,11 @@ func TestStoreCacheBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	private, err := RunFamily("always-on-mix", p, Options{Workers: 1, PrivateCaches: true})
+	sc, err := BuildFamily("always-on-mix", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	private, err := run(sc, Options{Workers: 1}, privateStores)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -390,6 +390,11 @@ func (r *SweepReport) WriteJSON(w io.Writer) error { return writeIndentedJSON(w,
 // point replays the same memo. Results are bit-identical at any worker
 // count.
 func RunSweep(sc Scenario, opt Options) (*SweepReport, error) {
+	return runSweep(sc, opt, opt.stores)
+}
+
+// runSweep is RunSweep with the store resolution injected (see run).
+func runSweep(sc Scenario, opt Options, resolve func(Scenario) runStores) (*SweepReport, error) {
 	if !sc.Sweep.Enabled() {
 		return nil, fmt.Errorf("scenario %s: RunSweep without a sweep axis (use Run)", sc.Name)
 	}
@@ -423,7 +428,7 @@ func RunSweep(sc Scenario, opt Options) (*SweepReport, error) {
 			break
 		}
 	}
-	stores := opt.stores(storeSrc)
+	stores := resolve(storeSrc)
 	progress := opt.progressCounter(len(points) * len(cols))
 	outs := exp.ParMap(opt.Workers, len(points)*len(cols), func(i int) cellOutcome {
 		res, err := runCell(points[i/len(cols)], i, cols[i%len(cols)], stores, nil, opt)

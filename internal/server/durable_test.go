@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -125,12 +126,15 @@ func TestJournalRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	latest := map[int][]byte{}
+	var mu sync.Mutex // cells run concurrently, so the sink is called from several goroutines
 	_, err = scenario.RunFamily("always-on-mix",
 		scenario.Params{Hosts: 6, HorizonHours: 3 * 24, ShardWorkers: 1},
 		scenario.Options{Checkpoint: &scenario.CheckpointPlan{
 			EveryHours: 24,
 			Sink: func(cell int, policy string, hr simtime.Hour, data []byte) {
+				mu.Lock()
 				latest[cell] = data // later hours overwrite: keep the newest
+				mu.Unlock()
 			},
 		}})
 	if err != nil {

@@ -27,13 +27,19 @@ const (
 	cachedChunkMask = cachedChunkLen - 1
 )
 
+// Source serves a VM's hourly activity levels. *CachedGenerator is the
+// single-reader private store; *Shared and *VariantMemo are the stores
+// a workload group's members share. Every implementation returns the
+// levels of its generator bit for bit.
+type Source interface {
+	Activity(h simtime.Hour) float64
+}
+
 // CachedGenerator memoizes a Generator's hourly activity levels. It is
 // not safe for concurrent use; each consumer (a cluster.VM) owns its
 // own cache, and parallel experiment runs build disjoint clusters.
 type CachedGenerator struct {
-	// Gen is the wrapped generator. It must not be reassigned once
-	// Activity has been called: memoized levels would go stale.
-	Gen Generator
+	gen Generator
 	// chunks[c][o] is the memoized level of hour c·cachedChunkLen+o, or
 	// NaN when not yet computed (levels are clamped to [0, 1], so NaN
 	// is unambiguous).
@@ -42,11 +48,8 @@ type CachedGenerator struct {
 
 // Cached wraps a generator with a chunked activity memo.
 func Cached(g Generator) *CachedGenerator {
-	return &CachedGenerator{Gen: g}
+	return &CachedGenerator{gen: g}
 }
-
-// Name returns the wrapped generator's name.
-func (c *CachedGenerator) Name() string { return c.Gen.Name }
 
 // Activity returns the memoized activity level for hour h, computing
 // and storing it on first access. The steady-state path (chunk already
@@ -55,7 +58,7 @@ func (c *CachedGenerator) Activity(h simtime.Hour) float64 {
 	if h < 0 {
 		// Delegate so the error surfaces exactly as without the cache
 		// (Decompose panics on negative hours).
-		return c.Gen.Activity(h)
+		return c.gen.Activity(h)
 	}
 	ci := int(h >> cachedChunkBits)
 	if ci >= len(c.chunks) {
@@ -73,11 +76,8 @@ func (c *CachedGenerator) Activity(h simtime.Hour) float64 {
 	}
 	v := chunk[int(h)&cachedChunkMask]
 	if math.IsNaN(v) {
-		v = c.Gen.Activity(h)
+		v = c.gen.Activity(h)
 		chunk[int(h)&cachedChunkMask] = v
 	}
 	return v
 }
-
-// Reset drops all memoized levels (for callers that replace Gen).
-func (c *CachedGenerator) Reset() { c.chunks = nil }

@@ -37,23 +37,6 @@ func TestCachedOutOfOrderAccess(t *testing.T) {
 	}
 }
 
-// TestCachedReset drops the memo so a replaced generator cannot serve
-// stale levels.
-func TestCachedReset(t *testing.T) {
-	c := Cached(Const0())
-	if v := c.Activity(10); v != 0 {
-		t.Fatalf("got %v", v)
-	}
-	c.Gen = Generator{Name: "one", Fn: Const(1)}
-	c.Reset()
-	if v := c.Activity(10); v != 1 {
-		t.Fatalf("after Reset got %v, want 1", v)
-	}
-}
-
-// Const0 is a named zero generator for the reset test.
-func Const0() Generator { return Generator{Name: "zero", Fn: Const(0)} }
-
 // TestCachedSteadyStateAllocationFree guards the hot path: once a chunk
 // exists, repeat reads allocate nothing.
 func TestCachedSteadyStateAllocationFree(t *testing.T) {

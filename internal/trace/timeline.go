@@ -26,27 +26,26 @@ var emptyBursts = []timeline.Burst{}
 // TimelineMemo memoizes per-hour burst timelines for one consumer. Like
 // CachedGenerator it is not safe for concurrent use: each cluster.VM
 // owns one, and parallel experiment cells build disjoint clusters.
+// Levels come from the wrapped source, so timelines and levels can
+// never disagree.
 type TimelineMemo struct {
-	// Seed is the expansion seed (see timeline.Expand). It must not be
-	// reassigned once Bursts has been called: memoized timelines would
-	// go stale.
-	Seed   uint64
+	seed   uint64
+	src    Source
 	chunks [][][]timeline.Burst
 }
 
-// NewTimelineMemo builds an empty memo for the given seed.
-func NewTimelineMemo(seed uint64) *TimelineMemo {
-	return &TimelineMemo{Seed: seed}
+// NewTimelineMemo builds an empty memo expanding src's levels with the
+// given seed.
+func NewTimelineMemo(seed uint64, src Source) *TimelineMemo {
+	return &TimelineMemo{seed: seed, src: src}
 }
 
-// Bursts returns hour h's timeline for the given activity level,
-// computing and storing it on first access. The level must be the VM's
-// activity at h (a pure function of h), so the memo stays consistent;
-// negative hours delegate to direct expansion, mirroring
+// Bursts returns hour h's timeline, computing and storing it on first
+// access. Negative hours delegate to direct expansion, mirroring
 // CachedGenerator's negative-hour passthrough.
-func (m *TimelineMemo) Bursts(h simtime.Hour, level float64) []timeline.Burst {
+func (m *TimelineMemo) Bursts(h simtime.Hour) []timeline.Burst {
 	if h < 0 {
-		return timeline.Expand(m.Seed, h, level)
+		return timeline.Expand(m.seed, h, m.src.Activity(h))
 	}
 	ci := int(h >> cachedChunkBits)
 	if ci >= len(m.chunks) {
@@ -61,7 +60,7 @@ func (m *TimelineMemo) Bursts(h simtime.Hour, level float64) []timeline.Burst {
 	}
 	v := chunk[int(h)&cachedChunkMask]
 	if v == nil {
-		v = timeline.Expand(m.Seed, h, level)
+		v = timeline.Expand(m.seed, h, m.src.Activity(h))
 		if v == nil {
 			v = emptyBursts
 		}

@@ -14,11 +14,11 @@ import (
 // computed-empty distinction matters).
 func TestTimelineMemoMatchesDirect(t *testing.T) {
 	g := DailyBackup(0.6) // active 1 h/day: most hours expand to nothing
-	m := NewTimelineMemo(0xabc)
+	m := NewTimelineMemo(0xabc, g)
 	for pass := 0; pass < 2; pass++ { // second pass reads pure memo hits
 		for h := simtime.Hour(0); h < 3*24; h++ {
 			level := g.Activity(h)
-			got := m.Bursts(h, level)
+			got := m.Bursts(h)
 			want := timeline.Expand(0xabc, h, level)
 			if len(got) == 0 && len(want) == 0 {
 				continue
@@ -30,10 +30,15 @@ func TestTimelineMemoMatchesDirect(t *testing.T) {
 	}
 }
 
+// constSource is a Source defined at every hour, negative ones included.
+type constSource float64
+
+func (c constSource) Activity(simtime.Hour) float64 { return float64(c) }
+
 // TestTimelineMemoNegativeHour checks the passthrough.
 func TestTimelineMemoNegativeHour(t *testing.T) {
-	m := NewTimelineMemo(7)
-	got := m.Bursts(-5, 0.5)
+	m := NewTimelineMemo(7, constSource(0.5))
+	got := m.Bursts(-5)
 	want := timeline.Expand(7, -5, 0.5)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("negative hour: memo %v, direct %v", got, want)

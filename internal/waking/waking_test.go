@@ -285,3 +285,29 @@ func TestScheduledFireClampsToPresent(t *testing.T) {
 		t.Fatal("fired after HostResumed retired the schedule")
 	}
 }
+
+// TestCheckpointAccessors: PendingWakeDate reports the raw registered
+// date (not the lead-adjusted fire instant) while a scheduled wake is
+// pending, and nothing once it fired or for an indefinite sleep;
+// RestoreCounters overwrites the wake counters Stats reports.
+func TestCheckpointAccessors(t *testing.T) {
+	e := sim.New()
+	var woken []netsim.MAC
+	m := newTestModule("rack0", e, &woken)
+	m.HostSuspended(3, []netsim.VMID{1}, 100, true)
+	m.HostSuspended(4, []netsim.VMID{2}, 0, false)
+	if at, ok := m.PendingWakeDate(3); !ok || at != 100 {
+		t.Fatalf("PendingWakeDate(3) = %v, %v; want 100, true", at, ok)
+	}
+	if _, ok := m.PendingWakeDate(4); ok {
+		t.Fatal("indefinite sleep reports a pending wake date")
+	}
+	e.RunUntil(99)
+	if _, ok := m.PendingWakeDate(3); ok {
+		t.Fatal("fired wake still reports a pending date")
+	}
+	m.RestoreCounters(7, 9)
+	if sched, pkt, _ := m.Stats(); sched != 7 || pkt != 9 {
+		t.Fatalf("Stats after RestoreCounters = %d, %d; want 7, 9", sched, pkt)
+	}
+}

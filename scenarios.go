@@ -35,7 +35,8 @@ const (
 	ResolutionEvent = dcsim.ResolutionEvent
 )
 
-// ScenarioOptions tunes execution (worker count, private trace caches).
+// ScenarioOptions tunes execution (worker count, shared store cache,
+// probes, checkpoints).
 // Every option combination yields bit-identical reports.
 type ScenarioOptions = scenario.Options
 
