@@ -145,6 +145,11 @@ func BenchmarkConsolidationScalingOasis(b *testing.B) {
 // growth is BenchmarkConsolidationScalingDrowsy. The quarter-million
 // size holds ~7 GB of model state and skips under -short so CI's
 // single-iteration smoke pass fits its runner.
+//
+// The drowsy-full and oasis sub-benchmarks measure the policy instead:
+// one week of that policy over 1024 and 2048 VMs with a rebalance every
+// six hours, so the superlinear rebalance layer (Oasis's pair search,
+// Drowsy's full-relocation pick) shows how it grows with the fleet.
 func BenchmarkFleetScaling(b *testing.B) {
 	for _, cfg := range []struct {
 		vms, hours int
@@ -173,6 +178,26 @@ func BenchmarkFleetScaling(b *testing.B) {
 				}
 			}
 		})
+	}
+	for _, policy := range []string{"drowsy-full", "oasis"} {
+		for _, vms := range []int{1024, 2048} {
+			b.Run(fmt.Sprintf("%s/vms-%d", policy, vms), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					c := exp.ScalingCluster(vms)
+					res := dcsim.NewRunner(dcsim.Config{
+						Hours:             7 * 24,
+						EnableSuspend:     true,
+						UseGrace:          true,
+						RebalanceEvery:    6,
+						DisableColocation: true,
+					}, c, exp.NewPolicy(policy)).Run()
+					if res.EnergyKWh <= 0 {
+						b.Fatal("no energy")
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"drowsydc/internal/checkpoint"
+	"drowsydc/internal/dcsim"
 	"drowsydc/internal/exp"
 	"drowsydc/internal/metrics"
 	"drowsydc/internal/scenario"
@@ -90,6 +91,28 @@ func benchCheckpointRoundTrip(vms int) func(*testing.B) {
 			}
 			if len(st2.VMs) != vms {
 				b.Fatalf("round trip lost VMs: %d != %d", len(st2.VMs), vms)
+			}
+		}
+	}
+}
+
+// benchFleetPolicy measures one policy's week over the §VII scaling
+// population at a fleet size, rebalancing every six hours: the
+// superlinear policy layer (Oasis's pair search, Drowsy's
+// full-relocation pick) at the size where it dominates the run.
+func benchFleetPolicy(policy string, vms int) func(*testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res := dcsim.NewRunner(dcsim.Config{
+				Hours:             7 * 24,
+				EnableSuspend:     true,
+				UseGrace:          true,
+				RebalanceEvery:    6,
+				DisableColocation: true,
+			}, exp.ScalingCluster(vms), exp.NewPolicy(policy)).Run()
+			if res.EnergyKWh <= 0 {
+				b.Fatal("no energy")
 			}
 		}
 	}
@@ -201,6 +224,7 @@ func runBench(args []string) {
 	// cells instead). Thousands of VMs, short horizon, drowsy only.
 	fleetParams := scenario.Params{Hosts: 1024, HorizonHours: 7 * 24,
 		ShardWorkers: runtime.GOMAXPROCS(0)}
+	policyVMs := 2048
 	if *quick {
 		scalingSize = 64
 		sweepCfg.Days = 3
@@ -209,6 +233,7 @@ func runBench(args []string) {
 		subHourlyParams = scenario.Params{Hosts: 8, HorizonHours: 7 * 24}
 		heteroParams = scenario.Params{Hosts: 56, HorizonHours: 60 * 24}
 		fleetParams.Hosts, fleetParams.HorizonHours = 128, 3*24
+		policyVMs = 256
 	}
 
 	benches := []struct {
@@ -327,6 +352,10 @@ func runBench(args []string) {
 				}
 			}
 		}},
+		// The superlinear policy layer on its own: one policy column
+		// over the §VII scaling population for a week.
+		{"fleet-policy-drowsy-full", benchFleetPolicy("drowsy-full", policyVMs)},
+		{"fleet-policy-oasis", benchFleetPolicy("oasis", policyVMs)},
 		// The crash-safety codec at two fleet scales: the spill cost a
 		// durable run pays at each month boundary (and the restore cost
 		// replay pays per cell). Sizes are fixed — not scaled by -quick —

@@ -26,6 +26,7 @@ package drowsy
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"drowsydc/internal/cluster"
@@ -106,8 +107,7 @@ type Policy struct {
 		plan        []cluster.Assignment
 		planJ       []int32
 		curJ        []int32
-		state       []hostBuild
-		means       [][ProfileHours]float64
+		round       relocRound
 		hostIdx     map[*cluster.Host]int
 		sums        [][ProfileHours]float64
 		counts      []int
@@ -402,16 +402,50 @@ func profileDist(a, b *[ProfileHours]float64) float64 {
 // greedily and applying it atomically (so cyclic exchanges are possible
 // on a fully packed cluster, as on the paper's 4×2-slot testbed).
 //
-// VMs are treated biggest-first; equal-size VMs by ascending mean IP so
-// the most active cluster together first and idle VMs then pair up by
-// IP-profile proximity. Each VM prefers the partially-built host whose
-// running profile is closest to its own. The fresh plan is then
-// compared with the current placement: it is applied only when its
-// alignment gain exceeds the sticky tolerance per migration — the
-// hysteresis that keeps converged placements put (the paper's Figure 2
-// reports at most 3 migrations per VM over a week) while still allowing
-// early re-pairing of matching VMs.
+// The fresh plan (relocationPlan) is compared with the current
+// placement: it is applied only when its alignment gain exceeds the
+// sticky tolerance per migration — the hysteresis that keeps converged
+// placements put (the paper's Figure 2 reports at most 3 migrations per
+// VM over a week) while still allowing early re-pairing of matching
+// VMs.
 func (p *Policy) fullRelocate(c *cluster.Cluster, hr simtime.Hour) {
+	plan := p.relocationPlan(c, hr)
+
+	// Plan-level hysteresis: apply only when the alignment gain pays
+	// for the migrations. Unplaced VMs force application.
+	moves := 0
+	forced := false
+	for _, a := range plan {
+		if a.VM.Host() == nil {
+			forced = true
+		} else if a.VM.Host() != a.Host {
+			moves++
+		}
+	}
+	if moves == 0 && !forced {
+		return
+	}
+	if !forced {
+		n, nh := len(c.VMs()), len(c.Hosts())
+		backing, curJ, planJ := p.scratch.backing[:n], p.scratch.curJ[:n], p.scratch.planJ[:n]
+		curCost := p.alignmentCost(backing, curJ, nil, nh)
+		planCost := p.alignmentCost(backing, curJ, planJ, nh)
+		if curCost-planCost <= float64(moves)*p.opts.StickyTolerance {
+			return // not enough improvement to justify the churn
+		}
+	}
+	_ = c.ApplyAssignments(plan)
+}
+
+// relocationPlan builds full relocation's fresh assignment. VMs are
+// treated biggest-first; equal-size VMs by ascending mean IP so the
+// most active cluster together first and idle VMs then pair up by
+// IP-profile proximity. Each VM goes to the partially-built host whose
+// running profile is closest to its own. Alongside the plan it leaves
+// each VM's profile (scratch.backing), current host index
+// (scratch.curJ) and planned host index (scratch.planJ, −1 unplaced),
+// all in c.VMs() order.
+func (p *Policy) relocationPlan(c *cluster.Cluster, hr simtime.Hour) []cluster.Assignment {
 	orig := c.VMs()
 	n := len(orig)
 	// The stamp window only depends on the round's hour; consecutive
@@ -459,15 +493,32 @@ func (p *Policy) fullRelocate(c *cluster.Cluster, hr simtime.Hour) {
 		return cands[i].vm.ID < cands[j].vm.ID
 	})
 
+	hosts := c.Hosts()
+	if p.scratch.hostIdx == nil {
+		p.scratch.hostIdx = make(map[*cluster.Host]int, len(hosts))
+	}
+	hostIdx := p.scratch.hostIdx
+	clear(hostIdx)
+	for i, h := range hosts {
+		hostIdx[h] = i
+	}
+	curJ := p.scratch.curJ[:n]
+	for i, v := range orig {
+		if h := v.Host(); h != nil {
+			curJ[i] = int32(hostIdx[h])
+		} else {
+			curJ[i] = -1
+		}
+	}
+
 	// Build the assignment against virtual host loads. CPU demand is
 	// budgeted by Neat's overload threshold so the IP-driven packing
 	// never creates hot spots the classic criteria would veto; when the
 	// budget leaves a VM stranded, a relaxed pass ignores it. Each
 	// host's running mean profile is refreshed once per placement, so a
 	// pick pass reads it instead of re-deriving it per candidate host.
-	hosts := c.Hosts()
-	cpuBudget := p.opts.Neat.Options().OverloadThr
-	state, means := p.buildState(len(hosts))
+	r := &p.scratch.round
+	r.reset(hosts, p.opts.Neat.Options().OverloadThr)
 	plan := p.scratch.plan[:0]
 	planJ := p.scratch.planJ[:n]
 	for i := range planJ {
@@ -477,61 +528,15 @@ func (p *Policy) fullRelocate(c *cluster.Cluster, hr simtime.Hour) {
 		v := cands[ci].vm
 		vprof := cands[ci].prof
 		demand := v.Activity(hr) * float64(v.VCPUs)
-		pick := func(relaxed bool) int {
-			best := -1
-			bestScore := math.Inf(1)
-			for hi, h := range hosts {
-				b := &state[hi]
-				if h.MaxVMs > 0 && b.num+1 > h.MaxVMs {
-					continue
-				}
-				if b.mem+v.MemGB > h.MemGB {
-					continue
-				}
-				if !relaxed && (b.cpu+demand)/float64(h.VCPUs) > cpuBudget {
-					continue
-				}
-				// Near-ties resolve toward the current host so a
-				// converged pair does not ping-pong between identical
-				// empty servers.
-				eps := 0.0
-				if h == v.Host() {
-					eps = tieEpsilon
-				}
-				// Distance with exact early exit: the partial score
-				// s/ProfileHours − eps is monotone in the partial sum,
-				// so once it reaches bestScore this host cannot win and
-				// the rest of the scan is skipped. Winners always run
-				// the full sum, so the selected score is unchanged.
-				hm := &means[hi]
-				s := 0.0
-				beaten := false
-				for k := 0; k < ProfileHours; k++ {
-					s += math.Abs(hm[k] - vprof[k])
-					if k&7 == 7 && s/ProfileHours-eps >= bestScore {
-						beaten = true
-						break
-					}
-				}
-				if beaten {
-					continue
-				}
-				score := s/ProfileHours - eps
-				if score < bestScore {
-					bestScore = score
-					best = hi
-				}
-			}
-			return best
-		}
-		hi := pick(false)
+		cur := curJ[cands[ci].origIdx]
+		hi := r.pick(v, vprof, demand, cur, false)
 		if hi < 0 {
-			hi = pick(true)
+			hi = r.pick(v, vprof, demand, cur, true)
 		}
 		if hi < 0 {
 			continue // nowhere to put this VM; leave it where it is
 		}
-		b := &state[hi]
+		b := &r.state[hi]
 		b.mem += v.MemGB
 		b.num++
 		b.cpu += demand
@@ -539,52 +544,191 @@ func (p *Policy) fullRelocate(c *cluster.Cluster, hr simtime.Hour) {
 			b.profSum[k] += vprof[k]
 		}
 		b.placed++
-		for k := range means[hi] {
-			means[hi][k] = b.profSum[k] / float64(b.placed)
+		for k := range r.means[hi] {
+			r.means[hi][k] = b.profSum[k] / float64(b.placed)
 		}
-		planJ[cands[ci].origIdx] = int32(hi)
+		r.open.placed(hosts, r.state, hi)
+		planJ[cands[ci].origIdx] = hi
 		plan = append(plan, cluster.Assignment{VM: v, Host: hosts[hi]})
 	}
 	p.scratch.plan = plan
+	return plan
+}
 
-	// Plan-level hysteresis: apply only when the alignment gain pays
-	// for the migrations. Unplaced VMs force application.
-	moves := 0
-	forced := false
-	for _, a := range plan {
-		if a.VM.Host() == nil {
-			forced = true
-		} else if a.VM.Host() != a.Host {
-			moves++
+// relocRound is one full-relocation round's virtual host state, read
+// and updated by the pick pass.
+type relocRound struct {
+	hosts     []*cluster.Host
+	state     []hostBuild
+	means     [][ProfileHours]float64
+	cpuBudget float64
+	open      openHosts
+}
+
+// reset starts a round on hosts: every host empty, every running mean
+// profile undetermined (zero). The slices are reused across rounds.
+func (r *relocRound) reset(hosts []*cluster.Host, cpuBudget float64) {
+	nh := len(hosts)
+	if cap(r.state) < nh {
+		r.state = make([]hostBuild, nh)
+		r.means = make([][ProfileHours]float64, nh)
+	}
+	r.state, r.means = r.state[:nh], r.means[:nh]
+	clear(r.state)
+	clear(r.means)
+	r.hosts = hosts
+	r.cpuBudget = cpuBudget
+	r.open.reset(hosts)
+}
+
+// pick returns the host index a VM goes to (−1 when none fits): the
+// eligible host whose running mean profile is closest to the VM's,
+// the lowest index among equal scores, with the VM's current host cur
+// (−1 unplaced) favoured by tieEpsilon. Unless relaxed, a host must
+// stay within the CPU budget.
+//
+// It is the literal scan over every host, restricted to the hosts that
+// can win. A full host never fits. Empty hosts of one capacity class
+// are indistinguishable — same zero load, same zero mean, same
+// eligibility, same score — so the lowest-index one beats the rest,
+// and only it is scanned (the open list holds it), plus cur when cur is
+// another empty host of its class, since tieEpsilon may lift it.
+func (r *relocRound) pick(v *cluster.VM, vprof *[ProfileHours]float64, demand float64, cur int32, relaxed bool) int32 {
+	best := int32(-1)
+	bestScore := math.Inf(1)
+	for _, hi := range r.open.list {
+		if score, ok := r.score(hi, v, vprof, demand, cur, relaxed, bestScore); ok {
+			best, bestScore = hi, score
 		}
 	}
-	if moves == 0 && !forced {
-		return
+	if cur >= 0 && r.open.hiddenEmpty(r.state, cur) {
+		score, ok := r.score(cur, v, vprof, demand, cur, relaxed, math.Inf(1))
+		if ok && (score < bestScore || score == bestScore && cur < best) {
+			best = cur
+		}
 	}
-	if !forced {
-		if p.scratch.hostIdx == nil {
-			p.scratch.hostIdx = make(map[*cluster.Host]int, len(hosts))
+	return best
+}
+
+// score is host hi's pick score for the VM, with ok=false when the host
+// is ineligible or its score does not beat bound.
+func (r *relocRound) score(hi int32, v *cluster.VM, vprof *[ProfileHours]float64, demand float64, cur int32, relaxed bool, bound float64) (float64, bool) {
+	h := r.hosts[hi]
+	b := &r.state[hi]
+	if b.mem+v.MemGB > h.MemGB {
+		return 0, false
+	}
+	if !relaxed && (b.cpu+demand)/float64(h.VCPUs) > r.cpuBudget {
+		return 0, false
+	}
+	// Near-ties resolve toward the current host so a converged pair
+	// does not ping-pong between identical empty servers.
+	eps := 0.0
+	if hi == cur {
+		eps = tieEpsilon
+	}
+	// Distance with exact early exit: the partial score
+	// s/ProfileHours − eps is monotone in the partial sum, so once it
+	// reaches the bound this host cannot win and the rest of the scan
+	// is skipped. Winners always run the full sum, so the selected
+	// score is unchanged.
+	hm := &r.means[hi]
+	s := 0.0
+	for k := 0; k < ProfileHours; k++ {
+		s += math.Abs(hm[k] - vprof[k])
+		if k&7 == 7 && s/ProfileHours-eps >= bound {
+			return 0, false
 		}
-		hostIdx := p.scratch.hostIdx
-		clear(hostIdx)
-		for i, h := range hosts {
-			hostIdx[h] = i
+	}
+	score := s/ProfileHours - eps
+	return score, score < bound
+}
+
+// hostClass is what the pick pass reads of an empty host: two empty
+// hosts of one class are interchangeable.
+type hostClass struct{ maxVMs, memGB, vcpus int }
+
+// openHosts is a round's pick candidates in host-index order: every
+// host holding a planned VM with a slot to spare, plus the first
+// still-empty host of each capacity class.
+type openHosts struct {
+	list    []int32
+	classOf map[hostClass]int32
+	class   []int32 // host index → capacity class
+	members []int32 // host indices grouped by class, index order within
+	end     []int32 // class c's members end at members[end[c]]
+	head    []int32 // position in members of class c's first empty host
+}
+
+// reset opens every class's first host, all hosts being empty.
+func (o *openHosts) reset(hosts []*cluster.Host) {
+	if o.classOf == nil {
+		o.classOf = make(map[hostClass]int32)
+	}
+	clear(o.classOf)
+	o.class = o.class[:0]
+	o.end = o.end[:0]
+	o.list = o.list[:0]
+	for hi, h := range hosts {
+		k := hostClass{h.MaxVMs, h.MemGB, h.VCPUs}
+		c, ok := o.classOf[k]
+		if !ok {
+			c = int32(len(o.end))
+			o.classOf[k] = c
+			o.end = append(o.end, 0)
+			o.list = append(o.list, int32(hi))
 		}
-		curJ := p.scratch.curJ[:n]
-		for i, v := range orig {
-			if h := v.Host(); h != nil {
-				curJ[i] = int32(hostIdx[h])
-			} else {
-				curJ[i] = -1
+		o.class = append(o.class, c)
+		o.end[c]++
+	}
+	// Group the hosts by class, index order within: end[c] turns from
+	// class c's host count into its end position in members.
+	for c := 1; c < len(o.end); c++ {
+		o.end[c] += o.end[c-1]
+	}
+	o.head = append(o.head[:0], o.end...)
+	o.members = slices.Grow(o.members[:0], len(hosts))[:len(hosts)]
+	for hi := len(hosts) - 1; hi >= 0; hi-- {
+		c := o.class[hi]
+		o.head[c]--
+		o.members[o.head[c]] = int32(hi)
+	}
+}
+
+// hiddenEmpty reports whether host hi is empty but not in the list (an
+// empty host other than its class's first).
+func (o *openHosts) hiddenEmpty(state []hostBuild, hi int32) bool {
+	return state[hi].num == 0 && o.members[o.head[o.class[hi]]] != hi
+}
+
+// placed updates the list after a VM was planned onto host hi.
+func (o *openHosts) placed(hosts []*cluster.Host, state []hostBuild, hi int32) {
+	if state[hi].num == 1 {
+		c := o.class[hi]
+		if o.members[o.head[c]] == hi {
+			// The class's first empty host filled: open the next one.
+			h := o.head[c] + 1
+			for h < o.end[c] && state[o.members[h]].num > 0 {
+				h++
 			}
-		}
-		curCost := p.alignmentCost(backing, curJ, nil, len(hosts))
-		planCost := p.alignmentCost(backing, curJ, planJ, len(hosts))
-		if curCost-planCost <= float64(moves)*p.opts.StickyTolerance {
-			return // not enough improvement to justify the churn
+			o.head[c] = h
+			if h < o.end[c] {
+				o.insert(o.members[h])
+			}
+		} else {
+			o.insert(hi)
 		}
 	}
-	_ = c.ApplyAssignments(plan)
+	if m := hosts[hi].MaxVMs; m > 0 && state[hi].num >= m {
+		if i, ok := slices.BinarySearch(o.list, hi); ok {
+			o.list = slices.Delete(o.list, i, i+1)
+		}
+	}
+}
+
+func (o *openHosts) insert(hi int32) {
+	i, _ := slices.BinarySearch(o.list, hi)
+	o.list = slices.Insert(o.list, i, hi)
 }
 
 // relocCand pairs a VM with its round profile for the placement sort.
@@ -602,23 +746,6 @@ type hostBuild struct {
 	cpu      float64 // vCPU-weighted demand at hr
 	profSum  [ProfileHours]float64
 	placed   int
-}
-
-// buildState returns the per-host virtual-load trackers and running
-// mean profiles (zero = undetermined), reset for a new round; the
-// slices are reused across rounds.
-func (p *Policy) buildState(nh int) ([]hostBuild, [][ProfileHours]float64) {
-	if cap(p.scratch.state) < nh {
-		p.scratch.state = make([]hostBuild, nh)
-		p.scratch.means = make([][ProfileHours]float64, nh)
-	}
-	state := p.scratch.state[:nh]
-	means := p.scratch.means[:nh]
-	for i := range state {
-		state[i] = hostBuild{}
-		means[i] = [ProfileHours]float64{}
-	}
-	return state, means
 }
 
 // alignmentCost measures how misaligned VM idleness is with host

@@ -35,15 +35,19 @@ func genFor(rng *rand.Rand, i int) trace.Generator {
 
 // twinClusters builds two structurally identical clusters: same hosts,
 // same VMs (IDs, capacities, generators), same placement. Generators
-// are pure, so the twins' activity signals are bit-identical.
-func twinClusters(rng *rand.Rand, nHosts, slots, nVMs int, placeAll bool) (a, b *cluster.Cluster) {
+// are pure, so the twins' activity signals are bit-identical. gen
+// supplies VM i's generator; nil draws a diverse one with genFor.
+func twinClusters(rng *rand.Rand, nHosts, slots, nVMs int, placeAll bool, gen func(i int) trace.Generator) (a, b *cluster.Cluster) {
+	if gen == nil {
+		gen = func(i int) trace.Generator { return genFor(rng, i) }
+	}
 	a, b = cluster.New(), cluster.New()
 	for i := 0; i < nHosts; i++ {
 		a.AddHost(cluster.NewHost(i, fmt.Sprintf("h%d", i), 64, 16, slots))
 		b.AddHost(cluster.NewHost(i, fmt.Sprintf("h%d", i), 64, 16, slots))
 	}
 	for i := 0; i < nVMs; i++ {
-		g := genFor(rng, i)
+		g := gen(i)
 		va := cluster.NewVM(i, fmt.Sprintf("v%d", i), cluster.KindLLMI, 4, 2, g)
 		vb := cluster.NewVM(i, fmt.Sprintf("v%d", i), cluster.KindLLMI, 4, 2, g)
 		a.AddVM(va)
@@ -90,54 +94,118 @@ func sameState(t *testing.T, tag string, a, b *cluster.Cluster) {
 // property: across many configurations and rebalance call patterns, the
 // indexed selection and the exhaustive reference produce identical
 // placements and migration counts at every step.
+//
+// The mixed populations spread pairs thinly over many score levels.
+// The dense ones put hundreds to thousands of pairs on a few levels —
+// every VM on one trace, a handful of replicated traces, or one trace
+// at a few phase shifts (equal popcounts, different overlaps) — so the
+// live-pair filter and the multi-chunk counting order run against the
+// reference, not only the single-chunk sort. Their ScoredPairs and
+// PrunedPairs are pinned: ordering must not move the §VII metric.
 func TestIndexedMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x0a515))
 	totalMigrations := 0
 	for trial := 0; trial < 30; trial++ {
-		opts := Options{
-			Window:        8 + rng.Intn(250),
-			IdleThreshold: 0.005 + rng.Float64()*0.3,
-			StickyMargin:  0.01 + rng.Float64()*0.2,
-		}
+		opts := randomOptions(rng)
 		nHosts := 3 + rng.Intn(8)
 		slots := 2 + rng.Intn(4)
 		nVMs := 2 + rng.Intn(nHosts*slots-1)
-		a, b := twinClusters(rng, nHosts, slots, nVMs, trial%3 != 0)
-
-		indexed := New(opts)
-		exOpts := opts
-		exOpts.Exhaustive = true
-		exhaustive := New(exOpts)
-
-		hr := simtime.Hour(rng.Intn(100))
-		for round := 0; round < 6; round++ {
-			switch rng.Intn(4) {
-			case 0:
-				// Hourly maintenance between rounds (the RecordHour
-				// hook), then a close-by rebalance.
-				for step := 0; step < 1+rng.Intn(5); step++ {
-					hr++
-					indexed.RecordHour(a, hr-1)
-					exhaustive.RecordHour(b, hr-1)
-				}
-			case 1:
-				// A gap wider than the window: the lazy path must
-				// rebuild wholesale.
-				hr += simtime.Hour(opts.Window + rng.Intn(100))
-			case 2:
-				// Same hour again (idempotence).
-			default:
-				hr += simtime.Hour(1 + rng.Intn(12))
-			}
-			indexed.Rebalance(a, hr)
-			exhaustive.Rebalance(b, hr)
-			sameState(t, fmt.Sprintf("trial %d round %d hr %d", trial, round, hr), a, b)
-		}
+		a, b := twinClusters(rng, nHosts, slots, nVMs, trial%3 != 0, nil)
+		runEquivalence(t, rng, fmt.Sprintf("mixed trial %d", trial), opts, a, b)
 		totalMigrations += a.Migrations()
 	}
 	if totalMigrations == 0 {
 		t.Fatal("no trial migrated any VM; the equivalence property is vacuous")
 	}
+
+	// The dense trials' (scored, pruned) pair counts, as the selection
+	// with a comparison sort per level produced them.
+	pinned := [][2]uint64{
+		{25914, 0}, {4242, 13794}, {20851, 14310}, {18153, 0},
+		{13138, 11880}, {11595, 7288}, {29454, 0}, {4005, 2880},
+		{10182, 602}, {25029, 0}, {6665, 6336}, {29846, 0},
+	}
+	dense := rand.New(rand.NewSource(0xde45e))
+	totalMigrations = 0
+	for trial := 0; trial < 12; trial++ {
+		nVMs := 48 + dense.Intn(80)
+		slots := 2 + dense.Intn(4)
+		nHosts := (nVMs+slots-1)/slots + dense.Intn(4)
+		opts := randomOptions(dense)
+		var gen func(i int) trace.Generator
+		switch trial % 3 {
+		case 0: // one trace for every VM: all pairs on one level
+			g := genFor(dense, 0)
+			gen = func(int) trace.Generator { return g }
+		case 1: // a few replicated traces
+			arch := make([]trace.Generator, 2+dense.Intn(3))
+			for k := range arch {
+				arch[k] = genFor(dense, k)
+			}
+			gen = func(i int) trace.Generator { return arch[i%len(arch)] }
+		default: // one trace at a few phase shifts
+			base := trace.RealTrace(1 + dense.Intn(5))
+			shifts := 2 + dense.Intn(4)
+			gen = func(i int) trace.Generator { return trace.Variant(base, 9, 5*(i%shifts)) }
+		}
+		a, b := twinClusters(dense, nHosts, slots, nVMs, trial%4 != 3, gen)
+		tag := fmt.Sprintf("dense trial %d (%d VMs)", trial, nVMs)
+		indexed := runEquivalence(t, dense, tag, opts, a, b)
+		totalMigrations += a.Migrations()
+		got := [2]uint64{indexed.ScoredPairs(), indexed.PrunedPairs()}
+		if got != pinned[trial] {
+			t.Errorf("%s: scored/pruned pairs %v, pinned %v", tag, got, pinned[trial])
+		}
+	}
+	if totalMigrations == 0 {
+		t.Fatal("no dense trial migrated any VM; the equivalence property is vacuous")
+	}
+}
+
+// randomOptions draws a window, idle threshold and sticky margin.
+func randomOptions(rng *rand.Rand) Options {
+	return Options{
+		Window:        8 + rng.Intn(250),
+		IdleThreshold: 0.005 + rng.Float64()*0.3,
+		StickyMargin:  0.01 + rng.Float64()*0.2,
+	}
+}
+
+// runEquivalence drives the indexed policy on a and the exhaustive
+// reference on b through six rounds of randomized call patterns,
+// asserting identical state after each. It returns the indexed policy.
+func runEquivalence(t *testing.T, rng *rand.Rand, tag string, opts Options, a, b *cluster.Cluster) *Policy {
+	t.Helper()
+	indexed := New(opts)
+	exOpts := opts
+	exOpts.Exhaustive = true
+	exhaustive := New(exOpts)
+
+	hr := simtime.Hour(rng.Intn(100))
+	for round := 0; round < 6; round++ {
+		switch rng.Intn(4) {
+		case 0:
+			// Hourly maintenance between rounds (the RecordHour
+			// hook), then a close-by rebalance.
+			for step := 0; step < 1+rng.Intn(5); step++ {
+				hr++
+				indexed.RecordHour(a, hr-1)
+				exhaustive.RecordHour(b, hr-1)
+			}
+		case 1:
+			// A gap wider than the window: the lazy path must
+			// rebuild wholesale.
+			hr += simtime.Hour(opts.Window + rng.Intn(100))
+		case 2:
+			// Same hour again (idempotence).
+		default:
+			hr += simtime.Hour(1 + rng.Intn(12))
+		}
+		indexed.Rebalance(a, hr)
+		exhaustive.Rebalance(b, hr)
+		sameState(t, fmt.Sprintf("%s round %d hr %d", tag, round, hr), a, b)
+	}
+	return indexed
 }
 
 // TestIndexedMatchesExhaustiveUnderChurn adds and removes VMs between
@@ -146,7 +214,7 @@ func TestIndexedMatchesExhaustive(t *testing.T) {
 func TestIndexedMatchesExhaustiveUnderChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xc40))
 	opts := Options{Window: 48}
-	a, b := twinClusters(rng, 6, 4, 12, true)
+	a, b := twinClusters(rng, 6, 4, 12, true, nil)
 	indexed := New(opts)
 	exOpts := opts
 	exOpts.Exhaustive = true
@@ -288,7 +356,7 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 func TestPairEvaluationSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x59117))
 	n := 64
-	a, _ := twinClusters(rng, 16, 4, n, true)
+	a, _ := twinClusters(rng, 16, 4, n, true, nil)
 	p := New(Options{Window: 7 * 24})
 	p.Rebalance(a, 20*24)
 	if got, want := p.PairEvaluations(), uint64(n*(n-1)/2); got < want {

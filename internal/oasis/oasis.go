@@ -33,9 +33,13 @@
 //     exact upper bound on the pair's overlap — prunes every pair that
 //     cannot beat the sticky-margin acceptance floor or whose
 //     endpoints the greedy matching already consumed. Scores are
-//     integer counts in [0, window], so a counting sort over score
-//     levels replaces the comparison sort while reproducing its exact
-//     (score desc, a asc, b asc) order.
+//     integer counts in [0, window], so pairs are bucketed by score
+//     level and the levels swept from the top. Within a level, pairs
+//     with an endpoint already matched are dropped (processing them is
+//     a no-op) and the survivors are put in (a, b) order by two
+//     counting passes over the VM index — the exhaustive sort's
+//     (score desc, a asc, b asc) order, with no key comparisons except
+//     in levels short enough to sort in place.
 //
 // Options.Exhaustive selects the original full-scan selection; the
 // equivalence suite asserts the two modes produce bit-identical
@@ -48,7 +52,6 @@ package oasis
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"drowsydc/internal/cluster"
@@ -98,7 +101,8 @@ type Policy struct {
 	entryBuf []*idleEntry
 	indexBuf map[*cluster.VM]int
 	popVMs   [][]int32
-	buckets  [][]uint64
+	levels   []pairList
+	pool     pairPool
 	active   []int32
 	used     []bool
 }
@@ -378,11 +382,12 @@ func (p *Policy) currentScoreIndexed(entries []*idleEntry, indexOf map[*cluster.
 
 // rebalanceIndexed is the bound-pruned selection. It reproduces the
 // exhaustive pass's exact processing order — score descending, then
-// (a, b) ascending — via a counting sort over integer score levels,
-// revealing pairs lazily: a pair first exists at level min(pop(a),
-// pop(b)), its admissible score bound, so pairs below the sticky-margin
-// floor, pairs against already-matched VMs, and everything after the
-// matching completes are never scored at all.
+// (a, b) ascending — by sweeping integer score levels from the top and
+// ordering each level's live pairs by VM index, revealing pairs
+// lazily: a pair first exists at level min(pop(a), pop(b)), its
+// admissible score bound, so pairs below the sticky-margin floor, pairs
+// against already-matched VMs, and everything after the matching
+// completes are never scored at all.
 func (p *Policy) rebalanceIndexed(c *cluster.Cluster, vms []*cluster.VM, hr simtime.Hour) {
 	n := len(vms)
 	entries := p.syncIndex(vms, hr)
@@ -431,7 +436,7 @@ func (p *Policy) rebalanceIndexed(c *cluster.Cluster, vms []*cluster.VM, hr simt
 	for i, e := range entries {
 		popVMs[e.pop] = append(popVMs[e.pop], int32(i))
 	}
-	buckets := growLevels(&p.buckets, maxPop+1)
+	levels := growLevels(&p.levels, maxPop+1)
 	active := p.active[:0]
 	defer func() { p.active = active[:0] }()
 
@@ -476,41 +481,45 @@ func (p *Policy) rebalanceIndexed(c *cluster.Cluster, vms []*cluster.VM, hr simt
 				if b < a {
 					a, b = b, a
 				}
-				buckets[both] = append(buckets[both], uint64(a)<<32|uint64(b))
+				levels[both].push(&p.pool, uint64(a)<<32|uint64(b))
 			}
 			active = append(active, i)
 		}
-		// Process this level's pairs in (a, b) order — the exhaustive
-		// sort's tiebreak, restored by sorting the packed keys.
-		bkt := buckets[k]
-		slices.Sort(bkt)
-		for _, pk := range bkt {
-			a, b := int(pk>>32), int(pk&0xffffffff)
-			if used[a] || used[b] {
-				continue
+		// Process this level's live pairs in (a, b) order — the
+		// exhaustive sort's tiebreak. Pairs against VMs matched at
+		// higher levels are dropped before ordering.
+		lv := &levels[k]
+		lv.keepLive(&p.pool, used)
+		lv.order(&p.pool, n)
+		for ci := range lv.ids {
+			for _, pk := range lv.chunk(&p.pool, ci) {
+				a, b := int(pk>>32), int(pk&pairLow)
+				if used[a] || used[b] {
+					continue
+				}
+				used[a] = true
+				used[b] = true
+				usedCount += 2
+				va, vb := vms[a], vms[b]
+				if va.Host() != nil && va.Host() == vb.Host() {
+					continue // already together
+				}
+				if score < p.currentScoreIndexed(entries, indexOf, va, win)+p.opts.StickyMargin &&
+					score < p.currentScoreIndexed(entries, indexOf, vb, win)+p.opts.StickyMargin {
+					continue
+				}
+				p.colocate(c, va, vb)
 			}
-			used[a] = true
-			used[b] = true
-			usedCount += 2
-			va, vb := vms[a], vms[b]
-			if va.Host() != nil && va.Host() == vb.Host() {
-				continue // already together
-			}
-			if score < p.currentScoreIndexed(entries, indexOf, va, win)+p.opts.StickyMargin &&
-				score < p.currentScoreIndexed(entries, indexOf, vb, win)+p.opts.StickyMargin {
-				continue
-			}
-			p.colocate(c, va, vb)
 		}
-		buckets[k] = bkt[:0]
+		lv.truncate(&p.pool, 0)
 		if usedCount >= n-1 {
 			// At most one VM is unmatched: every remaining pair has a
 			// consumed endpoint and cannot act.
 			break
 		}
 	}
-	for k := range buckets {
-		buckets[k] = buckets[k][:0]
+	for k := range levels {
+		levels[k].truncate(&p.pool, 0)
 	}
 	for k := range popVMs {
 		popVMs[k] = popVMs[k][:0]
@@ -520,11 +529,12 @@ func (p *Policy) rebalanceIndexed(c *cluster.Cluster, vms []*cluster.VM, hr simt
 	}
 }
 
-// growLevels sizes a per-level slice table, keeping capacity across
-// rounds. Levels are reset by the caller after use.
-func growLevels[T any](s *[][]T, n int) [][]T {
+// growLevels sizes a per-level table, keeping capacity across rounds.
+// Levels are reset by the caller after use.
+func growLevels[T any](s *[]T, n int) []T {
 	for len(*s) < n {
-		*s = append(*s, nil)
+		var zero T
+		*s = append(*s, zero)
 	}
 	return (*s)[:n]
 }
