@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -10,9 +9,8 @@ import (
 )
 
 // codecMagic and the codec versions guard the binary format of a
-// serialized idleness model. The format is used by the fault-tolerant
-// waking-module mirroring (§V: "each waking module monitors and mirrors
-// another one") and by experiment checkpointing.
+// serialized idleness model. The format carries every VM's model in
+// run checkpoints (internal/dcsim).
 //
 // Version 1 is the dense layout: all 12 SI_y month tables written
 // unconditionally (unallocated months as zeros) — 79 KB per model
@@ -306,56 +304,4 @@ func (m *Model) decodeTail(r *modelReader) error {
 		return fmt.Errorf("core: %d trailing bytes after serialized model", len(r.data)-r.off)
 	}
 	return nil
-}
-
-// marshalDense encodes the legacy dense version-1 layout. It exists so
-// the codec tests can pin cross-version compatibility without keeping
-// frozen byte fixtures.
-func (m *Model) marshalDense() ([]byte, error) {
-	totalScores := denseScores + scoresPerMonth*simtime.MonthsPerYear
-	buf := bytes.NewBuffer(make([]byte, 0, 16+8*(totalScores+NumScales+4)))
-	var head = []uint32{codecMagic, codecVersionDense}
-	for _, v := range head {
-		if err := binary.Write(buf, binary.LittleEndian, v); err != nil {
-			return nil, err
-		}
-	}
-	writeF := func(v float64) { _ = binary.Write(buf, binary.LittleEndian, v) }
-	for _, v := range m.SId {
-		writeF(v)
-	}
-	for d := range m.SIw {
-		for _, v := range m.SIw[d] {
-			writeF(v)
-		}
-	}
-	for d := range m.SIm {
-		for _, v := range m.SIm[d] {
-			writeF(v)
-		}
-	}
-	for mo := range m.SIy {
-		row := m.SIy[mo]
-		if row == nil {
-			// Unallocated month: all scores zero; the wire format stays
-			// identical to an eagerly allocated table.
-			row = &SIMonth{}
-		}
-		for d := range row {
-			for _, v := range row[d] {
-				writeF(v)
-			}
-		}
-	}
-	for _, v := range m.W {
-		writeF(v)
-	}
-	writeF(m.activeSum)
-	_ = binary.Write(buf, binary.LittleEndian, m.activeCount)
-	_ = binary.Write(buf, binary.LittleEndian, m.hoursObserved)
-	_ = binary.Write(buf, binary.LittleEndian, m.hoursIdle)
-	writeF(m.opts.NoiseFloor)
-	writeF(m.opts.DescentRate)
-	_ = binary.Write(buf, binary.LittleEndian, int64(m.opts.DescentSteps))
-	return buf.Bytes(), nil
 }

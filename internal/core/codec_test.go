@@ -140,3 +140,55 @@ func TestCodecFreshModelTiny(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// marshalDense encodes the legacy dense version-1 layout, which the
+// program no longer writes but still decodes. It lets these tests pin
+// cross-version compatibility without keeping frozen byte fixtures.
+func (m *Model) marshalDense() ([]byte, error) {
+	totalScores := denseScores + scoresPerMonth*simtime.MonthsPerYear
+	buf := bytes.NewBuffer(make([]byte, 0, 16+8*(totalScores+NumScales+4)))
+	var head = []uint32{codecMagic, codecVersionDense}
+	for _, v := range head {
+		if err := binary.Write(buf, binary.LittleEndian, v); err != nil {
+			return nil, err
+		}
+	}
+	writeF := func(v float64) { _ = binary.Write(buf, binary.LittleEndian, v) }
+	for _, v := range m.SId {
+		writeF(v)
+	}
+	for d := range m.SIw {
+		for _, v := range m.SIw[d] {
+			writeF(v)
+		}
+	}
+	for d := range m.SIm {
+		for _, v := range m.SIm[d] {
+			writeF(v)
+		}
+	}
+	for mo := range m.SIy {
+		row := m.SIy[mo]
+		if row == nil {
+			// Unallocated month: all scores zero; the wire format stays
+			// identical to an eagerly allocated table.
+			row = &SIMonth{}
+		}
+		for d := range row {
+			for _, v := range row[d] {
+				writeF(v)
+			}
+		}
+	}
+	for _, v := range m.W {
+		writeF(v)
+	}
+	writeF(m.activeSum)
+	_ = binary.Write(buf, binary.LittleEndian, m.activeCount)
+	_ = binary.Write(buf, binary.LittleEndian, m.hoursObserved)
+	_ = binary.Write(buf, binary.LittleEndian, m.hoursIdle)
+	writeF(m.opts.NoiseFloor)
+	writeF(m.opts.DescentRate)
+	_ = binary.Write(buf, binary.LittleEndian, int64(m.opts.DescentSteps))
+	return buf.Bytes(), nil
+}

@@ -158,12 +158,16 @@ type Config struct {
 	// timer-driven VM's next active hour into an hr-timer (default one
 	// year).
 	TimerScanHorizonHours int
-	// Network, when non-nil, replaces the perfect Wake-on-LAN callback
-	// with netsim's lossy delivery model: magic packets are dropped with
-	// the configured probability (deterministically, seeded), retried on
-	// silence, and carried reliably by per-subnet relays. Hosts' broadcast
-	// domains come from cluster.Host.Subnet. nil keeps delivery perfect
-	// and the run bit-identical to the pre-network simulator.
+	// Network, when non-nil, is netsim's lossy delivery model for the
+	// Wake-on-LANs the waking modules fire: magic packets are dropped
+	// with the configured probability (deterministically, seeded),
+	// retried on silence, and carried reliably by per-subnet relays.
+	// Hosts' broadcast domains come from cluster.Host.Subnet. nil
+	// resolves every wake as delivered on its first attempt, keeps the
+	// wake ledger (Result.Wake) empty, and leaves the run bit-identical
+	// to the pre-network simulator. The manager's direct wakes
+	// (migration endpoints, stale-mapping fallbacks) bypass the fabric
+	// either way.
 	Network *netsim.Config
 	// Probe, when non-nil, receives one HourSample per simulated hour —
 	// the flight-recorder hook (see probe.go). Observe-only: attaching a
@@ -275,7 +279,7 @@ type hostRT struct {
 // shard is one partition of the fleet: a fixed span of consecutive
 // hosts (and whichever VMs currently reside on them) advancing one hour
 // independently of the other shards. Each shard owns a full vertical
-// slice of the event-driven machinery — engine, waking-module pair,
+// slice of the event-driven machinery — engine, waking module,
 // latency collectors, scratch buffers — so the parallel host and
 // observation phases of an hour share no mutable state across shards;
 // the serial reduction at the hour boundary walks shards in index order
@@ -286,11 +290,13 @@ type hostRT struct {
 // on migration clear stale entries), same-instant engine events of
 // distinct hosts commute, and all cross-shard effects (placement,
 // colocation, model reads by policies) happen in the serial phases.
+// The waking module is unpaired: §V's mirrored peer exists for failover
+// and the runtime never fails a module, so a mirror would change no
+// output.
 type shard struct {
 	idx    int
 	engine *sim.Engine
 	wm     *waking.Module
-	mirror *waking.Module
 	hosts  []*hostRT // in global Cluster.Hosts() order
 
 	latency     *metrics.LatencyStats
@@ -498,7 +504,7 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 		lead = 1
 	}
 	// Partition the hosts into fixed spans. The span — and with it every
-	// shard's host set, engine, and waking-module pair — depends only on
+	// shard's host set, engine, and waking module — depends only on
 	// the fleet size and ShardHostSpan, never on ShardWorkers.
 	numShards := (len(c.Hosts()) + cfg.ShardHostSpan - 1) / cfg.ShardHostSpan
 	if numShards == 0 {
@@ -515,12 +521,6 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 			sh.engine.RunUntil(start)
 		}
 		sh.wm = waking.New(fmt.Sprintf("rack%d", s), sh.engine, lead, r.onWoL)
-		sh.mirror = waking.New(fmt.Sprintf("rack%d-mirror", s), sh.engine, lead, r.onWoL)
-		if r.net != nil {
-			sh.wm.SetDelivery(r.net, r.onLossyWoL)
-			sh.mirror.SetDelivery(r.net, r.onLossyWoL)
-		}
-		waking.Pair(sh.wm, sh.mirror)
 		r.shards = append(r.shards, sh)
 	}
 	for i, h := range c.Hosts() {
@@ -554,37 +554,26 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 	return r
 }
 
-// WakingModule exposes the first shard's primary waking module (for
-// fault-injection experiments, whose fleets fit one shard).
-func (r *Runner) WakingModule() *waking.Module { return r.shards[0].wm }
-
-// onWoL handles a Wake-on-LAN delivery: the suspended host resumes.
-// WoLs are generated by the host's own shard (packet and scheduled
-// wakes are self-wakes) or by the serial management phases, so the
-// state it touches — the host, its shard's engine clock and waking
-// module, the host's VM slots — is never contended.
-func (r *Runner) onWoL(mac netsim.MAC) {
-	rt, ok := r.rts[int(mac)]
-	if !ok {
-		return
-	}
-	if rt.machine.State() != power.StateSuspended && rt.machine.State() != power.StateOff {
-		return // already awake or mid-transition; duplicate WoL
-	}
-	r.resumeHost(rt, 0)
-}
-
-// onLossyWoL handles a wake transaction resolved through the lossy
-// delivery model: the outcome's attempts, retries, relay legs and lost
-// wakes land in the shard's wake accounting, and the host resumes after
-// the transaction's silence — retransmission backoff when a retry got
-// through, the full give-up silence when every attempt was dropped (the
-// manager's out-of-band recovery; a lost wake delays the host, it never
-// strands it). The energy ledger is charged so packet loss can never
+// onWoL handles a Wake-on-LAN the waking module fired (a packet or
+// scheduled wake). The transaction is resolved through the delivery
+// model first — before the state check, so a duplicate WoL still
+// consumes its attempt serials — and the host resumes after its
+// silence: retransmission backoff when a retry got through, the full
+// give-up silence when every attempt was dropped (the manager's
+// out-of-band recovery; a lost wake delays the host, it never strands
+// it). A nil model delivers at once and books nothing. Otherwise the
+// attempts, retries, relay legs and lost wakes land in the shard's wake
+// accounting, and the energy ledger is charged so packet loss can never
 // read as savings: each retransmission and recovery costs joules, and
 // the silence itself claws back the suspension credit at the peak-vs-
 // suspended differential.
-func (r *Runner) onLossyWoL(mac netsim.MAC, out netsim.WakeOutcome) {
+//
+// WoLs are generated by the host's own shard (packet and scheduled
+// wakes are self-wakes), so the state it touches — the host, its
+// shard's engine clock, waking module and wake ledger, the host's
+// attempt serials and VM slots — is never contended.
+func (r *Runner) onWoL(mac netsim.MAC) {
+	out := r.net.Resolve(mac)
 	rt, ok := r.rts[int(mac)]
 	if !ok {
 		return
@@ -592,21 +581,23 @@ func (r *Runner) onLossyWoL(mac netsim.MAC, out netsim.WakeOutcome) {
 	if rt.machine.State() != power.StateSuspended && rt.machine.State() != power.StateOff {
 		return // duplicate WoL of an awake host: nothing waits on it
 	}
-	sh := rt.sh
-	sh.wake.Attempts += uint64(out.Attempts)
-	sh.wake.Retries += uint64(out.Attempts - 1)
-	sh.wake.PathJoules += float64(out.Attempts-1) * r.netCfg.RetryJoules
-	if out.Relayed {
-		sh.wake.RelayedWakes++
-		sh.wake.PathJoules += r.netCfg.RelayWakeJoules
-	}
-	if !out.Delivered {
-		sh.wake.LostWakes++
-		sh.wake.PathJoules += r.netCfg.RecoveryJoules
-	}
-	if out.DelaySeconds > 0 {
-		sh.wake.LostSLASeconds += out.DelaySeconds
-		sh.wake.PathJoules += out.DelaySeconds * (rt.profile.PeakWatts - rt.profile.SuspendedWatts)
+	if r.net != nil {
+		w := &rt.sh.wake
+		w.Attempts += uint64(out.Attempts)
+		w.Retries += uint64(out.Attempts - 1)
+		w.PathJoules += float64(out.Attempts-1) * r.netCfg.RetryJoules
+		if out.Relayed {
+			w.RelayedWakes++
+			w.PathJoules += r.netCfg.RelayWakeJoules
+		}
+		if !out.Delivered {
+			w.LostWakes++
+			w.PathJoules += r.netCfg.RecoveryJoules
+		}
+		if out.DelaySeconds > 0 {
+			w.LostSLASeconds += out.DelaySeconds
+			w.PathJoules += out.DelaySeconds * (rt.profile.PeakWatts - rt.profile.SuspendedWatts)
+		}
 	}
 	rt.lastWakeDelay = out.DelaySeconds
 	r.resumeHost(rt, out.DelaySeconds)
@@ -825,10 +816,6 @@ func (r *Runner) Run() *Result {
 		if rec, ok := r.policy.(cluster.HourRecorder); ok {
 			rec.RecordHour(c, hr)
 		}
-		for _, sh := range r.shards {
-			sh.wm.Heartbeat()
-			sh.mirror.Heartbeat()
-		}
 		if timed {
 			r.phaseNanos[3] = int64(time.Since(tPhase))
 		}
@@ -963,7 +950,7 @@ func (r *Runner) applyPlacementChanges(before map[int]int) {
 // operation (migration endpoint), without request-latency accounting.
 func (r *Runner) wakeForManagement(rt *hostRT) {
 	if s := rt.machine.State(); s == power.StateSuspended || s == power.StateOff {
-		r.onWoL(netsim.MAC(rt.host.ID))
+		r.resumeHost(rt, 0)
 	}
 }
 
@@ -1074,7 +1061,7 @@ func (r *Runner) playHour(rt *hostRT, hr simtime.Hour, t0 simtime.Time) {
 			// with a missed date: if this host is still asleep, the
 			// manager delivers a direct WoL.
 			if s := rt.machine.State(); s == power.StateSuspended || s == power.StateOff {
-				r.onWoL(netsim.MAC(h.ID))
+				r.resumeHost(rt, 0)
 			}
 			rt.packetWoken = first != nil && !first.TimerDriven
 		}
@@ -1114,14 +1101,8 @@ func (r *Runner) playHour(rt *hostRT, hr simtime.Hour, t0 simtime.Time) {
 			from = rt.resumedAt
 		}
 		rt.machine.SetUtilization(float64(from), 0)
-		r.maybeSuspend(rt, hr, from)
+		r.maybeSuspendUntil(rt, from, hr.End())
 	}
-}
-
-// maybeSuspend runs the suspending module at time from and executes the
-// transition when allowed; the transition must complete within hour hr.
-func (r *Runner) maybeSuspend(rt *hostRT, hr simtime.Hour, from simtime.Time) {
-	r.maybeSuspendUntil(rt, from, hr.End())
 }
 
 // maybeSuspendUntil runs the suspending module at time from, requiring
@@ -1256,7 +1237,7 @@ func (r *Runner) playHourEvents(rt *hostRT, hr simtime.Hour, t0 simtime.Time, vm
 				sh.wm.PacketArrived(netsim.Packet{Dst: netsim.VMID(vms[fi].ID)})
 			}
 			if st := rt.machine.State(); st == power.StateSuspended || st == power.StateOff {
-				r.onWoL(netsim.MAC(rt.host.ID))
+				r.resumeHost(rt, 0)
 			}
 			if fi >= 0 {
 				wakes[fi]++

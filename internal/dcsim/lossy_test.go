@@ -6,6 +6,7 @@ import (
 
 	"drowsydc/internal/drowsy"
 	"drowsydc/internal/metrics"
+	"drowsydc/internal/neat"
 	"drowsydc/internal/netsim"
 )
 
@@ -159,5 +160,27 @@ func TestLossyInvalidNetworkPanics(t *testing.T) {
 			}()
 			fn()
 		})
+	}
+}
+
+// TestLossyScheduledWakesCrossFabric: scheduled WoLs travel the same
+// delivery model as packet wakes. A fleet whose only VM is timer-driven
+// wakes through the waking module's schedule alone, so at loss 1 every
+// lost wake it records was a scheduled one. (TestLossyFullLossGraceful
+// covers the packet leg.)
+func TestLossyScheduledWakesCrossFabric(t *testing.T) {
+	for _, res := range []Resolution{ResolutionHourly, ResolutionEvent} {
+		c, _ := backupCluster(0)
+		r := NewRunner(Config{StartHour: 3, Hours: 7 * 24, EnableSuspend: true, UseGrace: true,
+			Resolution: res, Network: &netsim.Config{WakeLoss: 1}},
+			c, neat.New(neat.Options{Underload: 1e-9})).Run()
+		if r.ScheduledWakes == 0 || r.PacketWakes != 0 {
+			t.Fatalf("res=%v: want scheduled wakes only, got scheduled=%d packet=%d",
+				res, r.ScheduledWakes, r.PacketWakes)
+		}
+		if lost := r.Wake.LostWakes; lost == 0 || lost > r.ScheduledWakes {
+			t.Fatalf("res=%v: %d lost wakes for %d scheduled wakes at loss 1: %+v",
+				res, lost, r.ScheduledWakes, r.Wake)
+		}
 	}
 }

@@ -246,7 +246,12 @@ func (lm *LossModel) Relayed(mac MAC) bool {
 // serial, so the drop fate of the n-th attempt ever sent to a host is a
 // pure function of (seed, MAC, n) — independent of when transactions
 // happen, which is what keeps sharded and serial walks bit-identical.
+// A nil model is the perfect network: every wake is delivered on its
+// first attempt with no silence, and no serial is kept.
 func (lm *LossModel) Resolve(mac MAC) WakeOutcome {
+	if lm == nil {
+		return WakeOutcome{Delivered: true, Attempts: 1}
+	}
 	if lm.Relayed(mac) {
 		// The relay terminates the broadcast leg: one reliable unicast
 		// transmission, no silence. The serial still advances so adding

@@ -164,6 +164,21 @@ func TestLossExtremes(t *testing.T) {
 	}
 }
 
+// A nil model is the perfect network the runtime falls back to when no
+// delivery model is configured: every MAC, however often woken, is
+// reached on the first attempt with no silence.
+func TestLossModelNilIsPerfect(t *testing.T) {
+	var lm *LossModel
+	want := WakeOutcome{Delivered: true, Attempts: 1}
+	for _, mac := range []MAC{0, 1, 7, 1 << 20} {
+		for round := 0; round < 3; round++ {
+			if out := lm.Resolve(mac); out != want {
+				t.Fatalf("nil model, mac %d round %d: %+v, want %+v", mac, round, out, want)
+			}
+		}
+	}
+}
+
 // Same (seed, topology, loss) ⇒ bit-identical outcome sequences,
 // regardless of how transactions interleave across hosts.
 func TestLossDeterminism(t *testing.T) {

@@ -12,7 +12,14 @@
 // of failure: modules work in pairs, each heartbeat-monitoring and
 // mirroring the other, and a survivor takes over a dead peer's mappings
 // (§V: "when a waking module is defective, it is replaced with an
-// identical version").
+// identical version"). Pair and CheckPeer implement that failover; the
+// simulation runtime (internal/dcsim) never fails a module, so it runs
+// one unpaired module per shard and only this package's tests exercise
+// pairing.
+//
+// A module fires each wake through its single WoL callback and knows
+// nothing of delivery: the runtime's callback resolves the wake through
+// netsim's loss model.
 package waking
 
 import (
@@ -39,12 +46,6 @@ type Module struct {
 
 	lastBeat simtime.Time
 	failed   bool
-
-	// When a loss model is installed, every WoL the module fires is
-	// resolved through it — retries, drops, relay legs — and the outcome
-	// handed to deliver instead of the perfect wol callback.
-	loss    *netsim.LossModel
-	deliver func(netsim.MAC, netsim.WakeOutcome)
 
 	peer       *Module
 	mirrorCopy *state // continuously mirrored copy of the peer's state
@@ -79,7 +80,7 @@ func New(name string, engine *sim.Engine, lead simtime.Duration, wol func(netsim
 		wakeDates: make(map[netsim.MAC]simtime.Time),
 		hostVMs:   make(map[netsim.MAC][]netsim.VMID),
 	}
-	m.sw = netsim.NewSwitch(m.fireWoL)
+	m.sw = netsim.NewSwitch(wol)
 	return m
 }
 
@@ -110,7 +111,7 @@ func (m *Module) HostSuspended(mac netsim.MAC, vms []netsim.VMID, wakeAt simtime
 			m.scheduledWakes++
 			delete(m.schedule, mac)
 			delete(m.wakeDates, mac)
-			m.fireWoL(mac)
+			m.wol(mac)
 		})
 	}
 	m.syncToPeer()
@@ -162,7 +163,7 @@ func (m *Module) FireScheduled(mac netsim.MAC) bool {
 	delete(m.schedule, mac)
 	delete(m.wakeDates, mac)
 	m.scheduledWakes++
-	m.fireWoL(mac)
+	m.wol(mac)
 	return true
 }
 
@@ -174,27 +175,6 @@ func (m *Module) PacketArrived(p netsim.Packet) bool {
 		m.packetWakes++
 	}
 	return woke
-}
-
-// SetDelivery routes the module's WoL path through a lossy delivery
-// model: each fired wake is resolved into a WakeOutcome (attempts,
-// drops, relay, delay) and handed to deliver. Both arguments nil
-// restores the perfect callback; anything else requires both.
-func (m *Module) SetDelivery(loss *netsim.LossModel, deliver func(netsim.MAC, netsim.WakeOutcome)) {
-	if (loss == nil) != (deliver == nil) {
-		panic("waking: SetDelivery requires both a loss model and a delivery callback, or neither")
-	}
-	m.loss, m.deliver = loss, deliver
-}
-
-// fireWoL delivers the WoL: straight to the perfect callback by
-// default, or through the lossy delivery model when one is installed.
-func (m *Module) fireWoL(mac netsim.MAC) {
-	if m.loss == nil {
-		m.wol(mac)
-		return
-	}
-	m.deliver(mac, m.loss.Resolve(mac))
 }
 
 // Heartbeat records liveness at the current engine time.
