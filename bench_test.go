@@ -20,6 +20,7 @@ import (
 	"drowsydc/internal/exp"
 	"drowsydc/internal/neat"
 	"drowsydc/internal/oasis"
+	"drowsydc/internal/oasis/oasistest"
 	"drowsydc/internal/scenario"
 	"drowsydc/internal/simtime"
 	"drowsydc/internal/trace"
@@ -381,13 +382,14 @@ func BenchmarkOasisRebalance(b *testing.B) {
 	}
 }
 
-// BenchmarkOasisRebalanceExhaustive is the reference selection at one
-// fleet size, the before side of the speedup recorded in ROADMAP.md.
+// BenchmarkOasisRebalanceExhaustive is the reference selection
+// (oasistest) at one fleet size, the before side of the speedup
+// recorded in ROADMAP.md.
 func BenchmarkOasisRebalanceExhaustive(b *testing.B) {
 	const n = 512
 	b.Run(fmt.Sprintf("vms-%d", n), func(b *testing.B) {
 		c := exp.ScalingCluster(n)
-		p := oasis.New(oasis.Options{Exhaustive: true})
+		p := oasistest.NewExhaustive(oasis.Options{})
 		hr := simtime.Hour(30 * 24)
 		p.Rebalance(c, hr)
 		b.ReportAllocs()

@@ -149,15 +149,6 @@ type Config struct {
 	// 500-VM year-horizon scenario. Runs that skip it must not read
 	// Result.Coloc fractions. No other output is affected.
 	DisableColocation bool
-	// ServiceSeconds is the base service time of one request (default
-	// 0.05 s; the CloudSuite web-search SLA is 200 ms).
-	ServiceSeconds float64
-	// SLASeconds is the SLA target (default 0.2 s).
-	SLASeconds float64
-	// TimerScanHorizonHours bounds the lookahead when converting a
-	// timer-driven VM's next active hour into an hr-timer (default one
-	// year).
-	TimerScanHorizonHours int
 	// Network, when non-nil, is netsim's lossy delivery model for the
 	// Wake-on-LANs the waking modules fire: magic packets are dropped
 	// with the configured probability (deterministically, seeded),
@@ -223,6 +214,18 @@ type Departure struct {
 	VM *cluster.VM
 }
 
+// Request-accounting constants.
+const (
+	// serviceSeconds is the base service time of one request (the
+	// CloudSuite web-search SLA is 200 ms).
+	serviceSeconds = 0.05
+	// slaSeconds is the SLA target.
+	slaSeconds = 0.2
+	// timerScanHorizonHours bounds the lookahead when converting a
+	// timer-driven VM's next active hour into an hr-timer.
+	timerScanHorizonHours = simtime.HoursPerYear
+)
+
 func (c Config) withDefaults() Config {
 	if c.Profile == (power.Profile{}) {
 		c.Profile = power.DefaultProfile()
@@ -232,15 +235,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestsPerHour == 0 {
 		c.RequestsPerHour = 200
-	}
-	if c.ServiceSeconds == 0 {
-		c.ServiceSeconds = 0.05
-	}
-	if c.SLASeconds == 0 {
-		c.SLASeconds = 0.2
-	}
-	if c.TimerScanHorizonHours == 0 {
-		c.TimerScanHorizonHours = simtime.HoursPerYear
 	}
 	if c.ShardHostSpan == 0 {
 		c.ShardHostSpan = 64
@@ -290,9 +284,8 @@ type hostRT struct {
 // on migration clear stale entries), same-instant engine events of
 // distinct hosts commute, and all cross-shard effects (placement,
 // colocation, model reads by policies) happen in the serial phases.
-// The waking module is unpaired: §V's mirrored peer exists for failover
-// and the runtime never fails a module, so a mirror would change no
-// output.
+// The waking module is unpaired: §V's failover pair is not modelled,
+// since the runtime never fails a module.
 type shard struct {
 	idx    int
 	engine *sim.Engine
@@ -514,8 +507,8 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 		sh := &shard{
 			idx:         s,
 			engine:      sim.New(),
-			latency:     metrics.NewLatencyStats(cfg.SLASeconds),
-			wakeLatency: metrics.NewLatencyStats(cfg.SLASeconds),
+			latency:     metrics.NewLatencyStats(slaSeconds),
+			wakeLatency: metrics.NewLatencyStats(slaSeconds),
 		}
 		if start > 0 {
 			sh.engine.RunUntil(start)
@@ -810,8 +803,8 @@ func (r *Runner) Run() *Result {
 			tPhase = time.Now()
 		}
 		// Serial reduction: the models advanced an epoch, retiring every
-		// memoized IP; then the hourly recorders and heartbeats run in
-		// deterministic order.
+		// memoized IP; then the hourly recorders run in deterministic
+		// order.
 		r.ip.advance()
 		if rec, ok := r.policy.(cluster.HourRecorder); ok {
 			rec.RecordHour(c, hr)
@@ -1364,7 +1357,7 @@ func (r *Runner) recordEventRequests(rt *hostRT, vms []*cluster.VM, acts []float
 		if n < w {
 			n = w
 		}
-		lat := r.cfg.ServiceSeconds + penalty
+		lat := serviceSeconds + penalty
 		for j := 0; j < w; j++ {
 			l := lat
 			if j == 0 {
@@ -1376,7 +1369,7 @@ func (r *Runner) recordEventRequests(rt *hostRT, vms []*cluster.VM, acts []float
 			sh.latency.Record(l)
 		}
 		if rest := n - w; rest > 0 {
-			sh.latency.RecordN(r.cfg.ServiceSeconds, rest)
+			sh.latency.RecordN(serviceSeconds, rest)
 		}
 	}
 }
@@ -1423,18 +1416,18 @@ func (r *Runner) recordRequests(rt *hostRT, vms []*cluster.VM, acts []float64, f
 		// All requests cost the base service time except the first one
 		// of the packet-woken VM, which pays the resume latency on top.
 		if v == first && wakePenalty > 0 {
-			lat := r.cfg.ServiceSeconds + wakePenalty
+			lat := serviceSeconds + wakePenalty
 			rt.sh.wakeLatency.Record(lat)
 			rt.sh.latency.Record(lat)
 			n--
 		}
-		rt.sh.latency.RecordN(r.cfg.ServiceSeconds, n)
+		rt.sh.latency.RecordN(serviceSeconds, n)
 	}
 }
 
 // nextActiveHour scans forward for the VM's next hour with activity.
 func (r *Runner) nextActiveHour(v *cluster.VM, from simtime.Hour) (simtime.Hour, bool) {
-	for d := 1; d <= r.cfg.TimerScanHorizonHours; d++ {
+	for d := 1; d <= timerScanHorizonHours; d++ {
 		h := from + simtime.Hour(d)
 		if v.Activity(h) > 0 {
 			return h, true
@@ -1450,8 +1443,8 @@ func (r *Runner) nextActiveHour(v *cluster.VM, from simtime.Hour) (simtime.Hour,
 // worker count — including the pre-shard serial runtime.
 func (r *Runner) collect() *Result {
 	c := r.cluster
-	latency := metrics.NewLatencyStats(r.cfg.SLASeconds)
-	wakeLatency := metrics.NewLatencyStats(r.cfg.SLASeconds)
+	latency := metrics.NewLatencyStats(slaSeconds)
+	wakeLatency := metrics.NewLatencyStats(slaSeconds)
 	res := &Result{
 		Policy:      r.policy.Name(),
 		Hours:       r.cfg.Hours,
@@ -1463,7 +1456,7 @@ func (r *Runner) collect() *Result {
 	for _, sh := range r.shards {
 		latency.Merge(sh.latency)
 		wakeLatency.Merge(sh.wakeLatency)
-		scheduled, packet, _ := sh.wm.Stats()
+		scheduled, packet := sh.wm.Stats()
 		res.ScheduledWakes += scheduled
 		res.PacketWakes += packet
 		res.EventHours += sh.eventHours

@@ -73,12 +73,6 @@ var policyConstructors = map[string]func() cluster.Policy{
 	"drowsy-full": func() cluster.Policy { return drowsy.New(drowsy.Options{FullRelocation: true}) },
 	"neat":        func() cluster.Policy { return neat.New(neat.Options{}) },
 	"oasis":       func() cluster.Policy { return oasis.New(oasis.Options{}) },
-	// The reference Oasis selection (full score-materialize-and-sort):
-	// decisions are bit-identical to "oasis"; the cost and the
-	// scored/pruned split of PairEvaluations differ (the indexed mode
-	// never runs sticky checks on bound-pruned pairs). The old-vs-new
-	// equivalence suite runs both on every family.
-	"oasis-exhaustive": func() cluster.Policy { return oasis.New(oasis.Options{Exhaustive: true}) },
 }
 
 // ValidPolicy reports whether name is a policy NewPolicy can build,

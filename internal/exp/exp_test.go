@@ -161,7 +161,7 @@ func TestRenderTable2(t *testing.T) {
 }
 
 func TestNewPolicyNames(t *testing.T) {
-	for _, n := range []string{"drowsy", "drowsy-full", "neat", "oasis", "oasis-exhaustive"} {
+	for _, n := range []string{"drowsy", "drowsy-full", "neat", "oasis"} {
 		if NewPolicy(n) == nil {
 			t.Fatalf("policy %s nil", n)
 		}

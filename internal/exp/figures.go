@@ -160,14 +160,11 @@ type Figure4Trace struct {
 // RunFigure4 trains an idleness model on each Table II trace for the
 // given number of years and evaluates the four Table III metrics
 // weekly: each hour the model first predicts (IP for the coming hour),
-// then observes the truth.
-func RunFigure4(years int) []Figure4Trace { return RunFigure4Workers(years, 0) }
-
-// RunFigure4Workers is RunFigure4 with an explicit worker bound
-// (0 = GOMAXPROCS, 1 = serial).
-func RunFigure4Workers(years, workers int) []Figure4Trace {
+// then observes the truth. Traces train in parallel (one per
+// GOMAXPROCS worker); the result does not depend on scheduling.
+func RunFigure4(years int) []Figure4Trace {
 	gens := trace.TableII()
-	return ParMap(workers, len(gens), func(i int) Figure4Trace {
+	return ParMap(0, len(gens), func(i int) Figure4Trace {
 		g := gens[i]
 		m := core.New()
 		win := metrics.NewWindowed(7 * 24)

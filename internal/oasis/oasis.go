@@ -37,22 +37,23 @@
 //     level and the levels swept from the top. Within a level, pairs
 //     with an endpoint already matched are dropped (processing them is
 //     a no-op) and the survivors are put in (a, b) order by two
-//     counting passes over the VM index — the exhaustive sort's
+//     counting passes over the VM index — the reference sort's
 //     (score desc, a asc, b asc) order, with no key comparisons except
 //     in levels short enough to sort in place.
 //
-// Options.Exhaustive selects the original full-scan selection; the
-// equivalence suite asserts the two modes produce bit-identical
-// migrations on every registered scenario family. PairEvaluations keeps
-// the §VII structural metric observable by reporting scored plus
-// bound-skipped pairs — the pruned pairs were considered, their scores
-// just never needed computing.
+// The reference selection those optimizations replaced — score every
+// pair, sort, match greedily — lives in the test-support package
+// oasis/oasistest; the equivalence suites assert the two produce
+// bit-identical migrations on randomized clusters and on every
+// registered scenario family. PairEvaluations keeps the §VII
+// structural metric observable by reporting scored plus bound-skipped
+// pairs — the pruned pairs were considered, their scores just never
+// needed computing.
 package oasis
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"drowsydc/internal/cluster"
 	"drowsydc/internal/simtime"
@@ -69,11 +70,6 @@ type Options struct {
 	// StickyMargin avoids churn: a VM only moves when the new grouping
 	// improves its pair score by at least this much. Zero selects 0.05.
 	StickyMargin float64
-	// Exhaustive selects the reference selection: score every pair,
-	// sort, then match greedily. It exists for the old-vs-new
-	// equivalence suite and produces bit-identical decisions to the
-	// default bound-pruned search, at the original O(n² log n) cost.
-	Exhaustive bool
 }
 
 func (o Options) withDefaults() Options {
@@ -182,12 +178,8 @@ func (p *Policy) PlaceNew(c *cluster.Cluster, v *cluster.VM, hr simtime.Hour) (*
 // ring-buffer idle bitset by the hour that just played, so index
 // maintenance costs O(n) per simulated hour instead of O(n·window) per
 // rebalance. Direct callers that skip the hook are covered by the lazy
-// delta update in Rebalance. The exhaustive reference mode maintains no
-// index at all (it rebuilds its bitsets per round, the seed behaviour).
+// delta update in Rebalance.
 func (p *Policy) RecordHour(c *cluster.Cluster, hr simtime.Hour) {
-	if p.opts.Exhaustive {
-		return
-	}
 	ix := p.index()
 	for _, v := range c.VMs() {
 		ix.advance(v, ix.entry(v), hr+1)
@@ -197,16 +189,11 @@ func (p *Policy) RecordHour(c *cluster.Cluster, hr simtime.Hour) {
 // Rebalance implements cluster.Policy: the O(n²) greedy pairing pass.
 // All VM pairs are considered by idle overlap; the best disjoint pairs
 // are then colocated, each pair (or group, when hosts take more than
-// two VMs) going to a host that can take them. The default
-// implementation prunes with the popcount bound; Options.Exhaustive
-// scores and sorts every pair. Both produce the same decisions.
+// two VMs) going to a host that can take them. The popcount bound
+// prunes pairs that cannot act, without changing a decision.
 func (p *Policy) Rebalance(c *cluster.Cluster, hr simtime.Hour) {
 	vms := c.VMs()
 	if len(vms) < 2 {
-		return
-	}
-	if p.opts.Exhaustive {
-		p.rebalanceExhaustive(c, vms, hr)
 		return
 	}
 	p.rebalanceIndexed(c, vms, hr)
@@ -221,7 +208,7 @@ func (p *Policy) Rebalance(c *cluster.Cluster, hr simtime.Hour) {
 // h−window's — the hour dropping out of the window — so maintenance is
 // O(1) per VM per hour. Ring positions are a bijection of window hours
 // shared by all VMs, so popcount(AND) of two rings equals the
-// both-idle hour count the exhaustive window walk produces.
+// both-idle hour count the window walk of idleOverlap produces.
 type idleIndex struct {
 	window  int
 	thresh  float64
@@ -338,7 +325,7 @@ func (p *Policy) syncIndex(vms []*cluster.VM, hr simtime.Hour) []*idleEntry {
 }
 
 // overlapIndexed scores one pair from the ring bitsets, counting the
-// evaluation exactly as the window-walk and bitset paths do.
+// evaluation exactly as idleOverlap does.
 func (p *Policy) overlapIndexed(ea, eb *idleEntry, win int) float64 {
 	if win == 0 {
 		return 0
@@ -381,7 +368,7 @@ func (p *Policy) currentScoreIndexed(entries []*idleEntry, indexOf map[*cluster.
 }
 
 // rebalanceIndexed is the bound-pruned selection. It reproduces the
-// exhaustive pass's exact processing order — score descending, then
+// reference selection's exact processing order — score descending, then
 // (a, b) ascending — by sweeping integer score levels from the top and
 // ordering each level's live pairs by VM index, revealing pairs
 // lazily: a pair first exists at level min(pop(a), pop(b)), its
@@ -413,11 +400,12 @@ func (p *Policy) rebalanceIndexed(c *cluster.Cluster, vms []*cluster.VM, hr simt
 		used[i] = false
 	}
 
-	// With every VM placed, currentScore is ≥ 0 for both endpoints, so
-	// any pair scoring below the sticky margin is unconditionally
-	// skipped — the margin becomes a hard pruning floor. An unplaced VM
-	// reports −1 and can accept any score, so the floor only engages
-	// when the whole population is placed (always true inside dcsim).
+	// With every VM placed, currentScoreIndexed is ≥ 0 for both
+	// endpoints, so any pair scoring below the sticky margin is
+	// unconditionally skipped — the margin becomes a hard pruning
+	// floor. An unplaced VM reports −1 and can accept any score, so
+	// the floor only engages when the whole population is placed
+	// (always true inside dcsim).
 	allPlaced := true
 	for _, v := range vms {
 		if v.Host() == nil {
@@ -486,7 +474,7 @@ func (p *Policy) rebalanceIndexed(c *cluster.Cluster, vms []*cluster.VM, hr simt
 			active = append(active, i)
 		}
 		// Process this level's live pairs in (a, b) order — the
-		// exhaustive sort's tiebreak. Pairs against VMs matched at
+		// reference sort's tiebreak. Pairs against VMs matched at
 		// higher levels are dropped before ordering.
 		lv := &levels[k]
 		lv.keepLive(&p.pool, used)
@@ -537,119 +525,6 @@ func growLevels[T any](s *[]T, n int) []T {
 		*s = append(*s, zero)
 	}
 	return (*s)[:n]
-}
-
-// ---------------------------------------------------------------------------
-// Exhaustive reference selection
-
-// idleSets builds one idle bitset per VM over the trailing window
-// ending at hr: bit k of vm i's set is on when vms[i] was idle during
-// hour start+k. A pair's overlap score is then a popcount of the ANDed
-// sets — the same integer count the hour-by-hour walk of idleOverlap
-// produces, at 1/64th of the memory traffic.
-func (p *Policy) idleSets(vms []*cluster.VM, hr simtime.Hour) (sets [][]uint64, window int) {
-	start := hr - simtime.Hour(p.opts.Window)
-	if start < 0 {
-		start = 0
-	}
-	window = int(hr - start)
-	words := (window + 63) / 64
-	sets = make([][]uint64, len(vms))
-	for i, v := range vms {
-		bs := make([]uint64, words)
-		for k := 0; k < window; k++ {
-			if v.Activity(start+simtime.Hour(k)) < p.opts.IdleThreshold {
-				bs[k>>6] |= 1 << (k & 63)
-			}
-		}
-		sets[i] = bs
-	}
-	return sets, window
-}
-
-// overlapFromSets scores one pair from precomputed idle bitsets,
-// counting the evaluation exactly as idleOverlap does.
-func (p *Policy) overlapFromSets(sets [][]uint64, window, i, j int) float64 {
-	if window == 0 {
-		return 0
-	}
-	both := 0
-	for w, x := range sets[i] {
-		both += bits.OnesCount64(x & sets[j][w])
-	}
-	p.scored++
-	return float64(both) / float64(window)
-}
-
-// rebalanceExhaustive is the reference pass: score all pairs,
-// materialize, sort, match greedily.
-func (p *Policy) rebalanceExhaustive(c *cluster.Cluster, vms []*cluster.VM, hr simtime.Hour) {
-	n := len(vms)
-	sets, window := p.idleSets(vms, hr)
-	indexOf := make(map[*cluster.VM]int, n)
-	for i, v := range vms {
-		indexOf[v] = i
-	}
-	type pair struct {
-		a, b  int
-		score float64
-	}
-	pairs := make([]pair, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			pairs = append(pairs, pair{i, j, p.overlapFromSets(sets, window, i, j)})
-		}
-	}
-	// The (a, b) tiebreak makes the order total, so the unstable sort
-	// yields the same permutation as a stable one — without the O(n²)
-	// pair slice's merge rotations.
-	sort.Slice(pairs, func(x, y int) bool {
-		if pairs[x].score != pairs[y].score {
-			return pairs[x].score > pairs[y].score
-		}
-		if pairs[x].a != pairs[y].a {
-			return pairs[x].a < pairs[y].a
-		}
-		return pairs[x].b < pairs[y].b
-	})
-	used := make([]bool, n)
-	for _, pr := range pairs {
-		if used[pr.a] || used[pr.b] {
-			continue
-		}
-		used[pr.a] = true
-		used[pr.b] = true
-		a, b := vms[pr.a], vms[pr.b]
-		if a.Host() != nil && a.Host() == b.Host() {
-			continue // already together
-		}
-		// Skip churn when the pairing gain is marginal: compare against
-		// the VM's current best overlap with a host mate.
-		if pr.score < p.currentScore(sets, window, indexOf, a)+p.opts.StickyMargin &&
-			pr.score < p.currentScore(sets, window, indexOf, b)+p.opts.StickyMargin {
-			continue
-		}
-		p.colocate(c, a, b)
-	}
-}
-
-// currentScore is the VM's best idle overlap with a current host mate,
-// read from the round's precomputed idle bitsets.
-func (p *Policy) currentScore(sets [][]uint64, window int, indexOf map[*cluster.VM]int, v *cluster.VM) float64 {
-	h := v.Host()
-	if h == nil {
-		return -1
-	}
-	best := 0.0
-	for _, mate := range h.VMs() {
-		if mate == v {
-			continue
-		}
-		if s := p.overlapFromSets(sets, window, indexOf[v], indexOf[mate]); s > best {
-			best = s
-		}
-	}
-	return best
 }
 
 // colocate tries to bring a and b onto one host: first b to a's host,

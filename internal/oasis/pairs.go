@@ -3,7 +3,7 @@ package oasis
 import "slices"
 
 // Pair keys pack a pair (a, b), a < b, as a<<32 | b, so ascending key
-// order is the exhaustive pass's (a, b) tiebreak.
+// order is the reference selection's (a, b) tiebreak.
 const pairLow = 1<<32 - 1
 
 // pairChunk is the pool's chunk size in keys (8 KiB). A level whose

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"drowsydc/internal/exp"
 )
 
 // The scenario runner layers two execution choices on top of the
@@ -139,7 +141,7 @@ func TestSharedPrivateIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		private, err := run(sc, Options{}, privateStores)
+		private, err := run(sc, Options{}, privateStores, exp.NewPolicy)
 		if err != nil {
 			t.Fatal(err)
 		}

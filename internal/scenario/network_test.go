@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"drowsydc/internal/exp"
 	"drowsydc/internal/simtime"
 )
 
@@ -58,7 +59,7 @@ func TestLossyWanDeterminism(t *testing.T) {
 			if private {
 				resolve = privateStores
 			}
-			got, err := run(sc, Options{}, resolve)
+			got, err := run(sc, Options{}, resolve, exp.NewPolicy)
 			if err != nil {
 				t.Fatalf("shard-workers %d private %v: %v", workers, private, err)
 			}

@@ -3,16 +3,21 @@ package scenario
 import (
 	"reflect"
 	"testing"
+
+	"drowsydc/internal/cluster"
+	"drowsydc/internal/exp"
+	"drowsydc/internal/oasis"
+	"drowsydc/internal/oasis/oasistest"
 )
 
 // The acceptance backbone of the fleet-scale Oasis rebuild: on every
 // registered scenario family, at population sizes spanning 64 to 1024
 // VMs, the indexed bound-pruned selection and the exhaustive reference
-// produce bit-identical migrations, energy and SLA. The horizon is
-// shrunk (the selection runs identically per round; more rounds only
-// repeat the property), the comparison is not: both modes run the full
-// simulation pipeline — placement, churn, suspension, event timelines
-// where the family uses them.
+// (oasistest) produce bit-identical migrations, energy and SLA. The
+// horizon is shrunk (the selection runs identically per round; more
+// rounds only repeat the property), the comparison is not: both modes
+// run the full simulation pipeline — placement, churn, suspension,
+// event timelines where the family uses them.
 
 // hostsForVMs scales a family's fleet until its simulated population
 // reaches target (families derive VM counts from host counts).
@@ -35,25 +40,36 @@ func TestOasisIndexedMatchesExhaustiveOnFamilies(t *testing.T) {
 		for _, size := range sizes {
 			hosts := hostsForVMs(t, f, size, horizon)
 			sc := f.Build(Params{Hosts: hosts, HorizonHours: horizon})
-			// One run, two columns over identical materializations: the
-			// reports must agree on every field but the label.
-			sc.Policies = []PolicyConfig{
-				{Label: "x", Policy: "oasis", Suspend: true},
-				{Label: "x", Policy: "oasis-exhaustive", Suspend: true},
-			}
-			rep, err := Run(sc, Options{})
+			// Two runs of one "oasis" column over identical
+			// materializations: Run builds the shipped policy, the run
+			// seam swaps in the reference. The reports must be equal.
+			sc.Policies = []PolicyConfig{{Label: "oasis", Policy: "oasis", Suspend: true}}
+			indexed, err := Run(sc, Options{})
 			if err != nil {
 				t.Fatalf("%s at %d VMs: %v", f.Name, size, err)
 			}
-			if rep.VMs < size {
-				t.Fatalf("%s: %d VMs simulated, want >= %d", f.Name, rep.VMs, size)
+			exhaustive, err := run(sc, Options{}, Options{}.stores, exhaustiveOasis)
+			if err != nil {
+				t.Fatalf("%s at %d VMs (exhaustive): %v", f.Name, size, err)
 			}
-			if !reflect.DeepEqual(rep.Policies[0], rep.Policies[1]) {
+			if indexed.VMs < size {
+				t.Fatalf("%s: %d VMs simulated, want >= %d", f.Name, indexed.VMs, size)
+			}
+			if !reflect.DeepEqual(indexed, exhaustive) {
 				t.Fatalf("%s at %d VMs: indexed and exhaustive Oasis diverge\nindexed:    %+v\nexhaustive: %+v",
-					f.Name, rep.VMs, rep.Policies[0], rep.Policies[1])
+					f.Name, indexed.VMs, indexed.Policies[0], exhaustive.Policies[0])
 			}
 		}
 	}
+}
+
+// exhaustiveOasis is exp.NewPolicy with "oasis" built as the reference
+// selection.
+func exhaustiveOasis(name string) cluster.Policy {
+	if name == "oasis" {
+		return oasistest.NewExhaustive(oasis.Options{})
+	}
+	return exp.NewPolicy(name)
 }
 
 // TestHeteroFleetIncludesOasis pins the headline outcome: the flagship

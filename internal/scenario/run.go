@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"drowsydc/internal/checkpoint"
+	"drowsydc/internal/cluster"
 	"drowsydc/internal/dcsim"
 	"drowsydc/internal/exp"
 	"drowsydc/internal/metrics"
@@ -150,13 +151,15 @@ func writeIndentedJSON(w io.Writer, v any) error {
 // silently ignoring the axis would report one arbitrary grid point as
 // the whole curve; use RunSweep.
 func Run(sc Scenario, opt Options) (*Report, error) {
-	return run(sc, opt, opt.stores)
+	return run(sc, opt, opt.stores, exp.NewPolicy)
 }
 
-// run is Run with the store resolution injected: the shared == private
-// equivalence tests pass a resolver returning the zero runStores, which
-// materialize treats as per-VM private memos.
-func run(sc Scenario, opt Options, resolve func(Scenario) runStores) (*Report, error) {
+// run is Run with the store resolution and the policy constructor
+// injected: the shared == private equivalence tests pass a resolver
+// returning the zero runStores, which materialize treats as per-VM
+// private memos, and the Oasis equivalence test swaps in the reference
+// selection for a column's policy.
+func run(sc Scenario, opt Options, resolve func(Scenario) runStores, newPolicy func(string) cluster.Policy) (*Report, error) {
 	if sc.Sweep.Enabled() {
 		return nil, fmt.Errorf("scenario %s: Run on a scenario with a sweep axis (use RunSweep)", sc.Name)
 	}
@@ -175,7 +178,7 @@ func run(sc Scenario, opt Options, resolve func(Scenario) runStores) (*Report, e
 		}
 	}
 	outs := exp.ParMap(opt.Workers, len(cols), func(i int) cellOutcome {
-		res, err := runCell(sc, i, cols[i], stores, probes[i], opt)
+		res, err := runCell(sc, i, cols[i], stores, newPolicy, probes[i], opt)
 		progress()
 		return cellOutcome{res, err}
 	})
@@ -213,7 +216,7 @@ func (opt Options) progressCounter(total int) func() {
 // panic isolation barrier: a panic anywhere in the cell (policy code, a
 // probe, the runtime) becomes a PanicError instead of unwinding through
 // the worker pool and killing the process.
-func runCell(sc Scenario, cell int, pc PolicyConfig, stores runStores, probe dcsim.Probe, opt Options) (res *dcsim.Result, err error) {
+func runCell(sc Scenario, cell int, pc PolicyConfig, stores runStores, newPolicy func(string) cluster.Policy, probe dcsim.Probe, opt Options) (res *dcsim.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = nil, &PanicError{Cell: cell, Policy: pc.Label, Value: v, Stack: debug.Stack()}
@@ -266,14 +269,14 @@ func runCell(sc Scenario, cell int, pc PolicyConfig, stores runStores, probe dcs
 			if derr != nil {
 				return nil, fmt.Errorf("scenario: cell %d (%s): decode checkpoint: %w", cell, pc.Label, derr)
 			}
-			runner, derr = dcsim.ResumeRunner(cfg, c, exp.NewPolicy(pc.Policy), st)
+			runner, derr = dcsim.ResumeRunner(cfg, c, newPolicy(pc.Policy), st)
 			if derr != nil {
 				return nil, fmt.Errorf("scenario: cell %d (%s): resume: %w", cell, pc.Label, derr)
 			}
 		}
 	}
 	if runner == nil {
-		runner = dcsim.NewRunner(cfg, c, exp.NewPolicy(pc.Policy))
+		runner = dcsim.NewRunner(cfg, c, newPolicy(pc.Policy))
 	}
 	res = runner.Run()
 	if res == nil {

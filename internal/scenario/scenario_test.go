@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"drowsydc/internal/cluster"
+	"drowsydc/internal/exp"
 	"drowsydc/internal/simtime"
 	"drowsydc/internal/trace"
 )
@@ -242,6 +243,20 @@ func TestValidateRejects(t *testing.T) {
 	broken.Policies = []PolicyConfig{{Label: "typo", Policy: "drowsy_full"}}
 	if err := broken.Validate(); err == nil || !strings.Contains(err.Error(), "drowsy_full") {
 		t.Fatalf("unknown policy name accepted (err=%v); it would panic on a worker goroutine", err)
+	}
+}
+
+// TestOasisOracleIsNotAPolicy checks that the exhaustive Oasis
+// reference is reachable from tests only (oasistest), not by a policy
+// name a scenario, the CLI or a drowsyd request could select.
+func TestOasisOracleIsNotAPolicy(t *testing.T) {
+	if exp.ValidPolicy("oasis-exhaustive") {
+		t.Fatal(`exp.ValidPolicy("oasis-exhaustive") is true; the reference selection ships as a policy`)
+	}
+	sc := small("always-on-mix")
+	sc.Policies = []PolicyConfig{{Label: "ref", Policy: "oasis-exhaustive", Suspend: true}}
+	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "oasis-exhaustive") {
+		t.Fatalf("column naming oasis-exhaustive accepted (err=%v)", err)
 	}
 }
 

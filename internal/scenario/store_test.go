@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+
+	"drowsydc/internal/exp"
 )
 
 // The server-lifetime store contract: sourcing the shared trace and
@@ -36,7 +38,7 @@ func TestStoreCacheBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	private, err := run(sc, Options{Workers: 1}, privateStores)
+	private, err := run(sc, Options{Workers: 1}, privateStores, exp.NewPolicy)
 	if err != nil {
 		t.Fatal(err)
 	}

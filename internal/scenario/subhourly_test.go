@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"drowsydc/internal/dcsim"
+	"drowsydc/internal/exp"
 )
 
 // The sub-hourly event mode layers a third execution-invisible choice
@@ -57,7 +58,7 @@ func TestSubHourlySharedPrivateIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	private, err := run(sc, Options{}, privateStores)
+	private, err := run(sc, Options{}, privateStores, exp.NewPolicy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -431,7 +431,7 @@ func runSweep(sc Scenario, opt Options, resolve func(Scenario) runStores) (*Swee
 	stores := resolve(storeSrc)
 	progress := opt.progressCounter(len(points) * len(cols))
 	outs := exp.ParMap(opt.Workers, len(points)*len(cols), func(i int) cellOutcome {
-		res, err := runCell(points[i/len(cols)], i, cols[i%len(cols)], stores, nil, opt)
+		res, err := runCell(points[i/len(cols)], i, cols[i%len(cols)], stores, exp.NewPolicy, nil, opt)
 		progress()
 		return cellOutcome{res, err}
 	})

@@ -8,14 +8,10 @@
 //     the host went to sleep (§V-B), fired ahead of time by the resume
 //     latency so the host is awake when the timer expires.
 //
-// The module is the heart of the system and must not be a single point
-// of failure: modules work in pairs, each heartbeat-monitoring and
-// mirroring the other, and a survivor takes over a dead peer's mappings
-// (§V: "when a waking module is defective, it is replaced with an
-// identical version"). Pair and CheckPeer implement that failover; the
-// simulation runtime (internal/dcsim) never fails a module, so it runs
-// one unpaired module per shard and only this package's tests exercise
-// pairing.
+// The paper pairs modules so a survivor takes over a defective peer's
+// mappings (§V). That failover is not modelled: a simulated module
+// never fails, so the runtime (internal/dcsim) runs one module per
+// shard and a pair would change no output.
 //
 // A module fires each wake through its single WoL callback and knows
 // nothing of delivery: the runtime's callback resolves the wake through
@@ -24,7 +20,6 @@ package waking
 
 import (
 	"fmt"
-	"sort"
 
 	"drowsydc/internal/netsim"
 	"drowsydc/internal/sim"
@@ -42,24 +37,9 @@ type Module struct {
 	sw        *netsim.Switch
 	schedule  map[netsim.MAC]*sim.Timer
 	wakeDates map[netsim.MAC]simtime.Time
-	hostVMs   map[netsim.MAC][]netsim.VMID
-
-	lastBeat simtime.Time
-	failed   bool
-
-	peer       *Module
-	mirrorCopy *state // continuously mirrored copy of the peer's state
 
 	scheduledWakes uint64
 	packetWakes    uint64
-	takeovers      uint64
-}
-
-// state is the replicable part of a module: the suspended-host mappings
-// and their waking dates.
-type state struct {
-	hostVMs   map[netsim.MAC][]netsim.VMID
-	wakeDates map[netsim.MAC]simtime.Time
 }
 
 // New creates a waking module. wol delivers Wake-on-LAN to a host; lead
@@ -78,17 +58,9 @@ func New(name string, engine *sim.Engine, lead simtime.Duration, wol func(netsim
 		lead:      lead,
 		schedule:  make(map[netsim.MAC]*sim.Timer),
 		wakeDates: make(map[netsim.MAC]simtime.Time),
-		hostVMs:   make(map[netsim.MAC][]netsim.VMID),
 	}
 	m.sw = netsim.NewSwitch(wol)
 	return m
-}
-
-// Pair links two modules as mutual mirrors.
-func Pair(a, b *Module) {
-	a.peer, b.peer = b, a
-	a.mirrorCopy = b.snapshot()
-	b.mirrorCopy = a.snapshot()
 }
 
 // Switch exposes the module's packet path for the workload model.
@@ -100,7 +72,6 @@ func (m *Module) Switch() *netsim.Switch { return m.sw }
 // existed (§V-B): the host sleeps until an external request.
 func (m *Module) HostSuspended(mac netsim.MAC, vms []netsim.VMID, wakeAt simtime.Time, hasDate bool) {
 	m.sw.MapSuspended(mac, vms)
-	m.hostVMs[mac] = append([]netsim.VMID(nil), vms...)
 	if hasDate {
 		fireAt := wakeAt - simtime.Time(m.lead)
 		if fireAt < m.engine.Now() {
@@ -114,20 +85,17 @@ func (m *Module) HostSuspended(mac netsim.MAC, vms []netsim.VMID, wakeAt simtime
 			m.wol(mac)
 		})
 	}
-	m.syncToPeer()
 }
 
 // HostResumed clears a host's mappings and pending schedule once it is
 // awake again.
 func (m *Module) HostResumed(mac netsim.MAC) {
 	m.sw.UnmapHost(mac)
-	delete(m.hostVMs, mac)
 	if t, ok := m.schedule[mac]; ok {
 		t.Cancel()
 		delete(m.schedule, mac)
 	}
 	delete(m.wakeDates, mac)
-	m.syncToPeer()
 }
 
 // ScheduledFire returns the instant at which a host's pending
@@ -177,88 +145,15 @@ func (m *Module) PacketArrived(p netsim.Packet) bool {
 	return woke
 }
 
-// Heartbeat records liveness at the current engine time.
-func (m *Module) Heartbeat() { m.lastBeat = m.engine.Now() }
-
-// Fail marks the module dead for fault-injection tests; a failed module
-// stops heartbeating and processing.
-func (m *Module) Fail() { m.failed = true }
-
-// Failed reports whether the module was failed.
-func (m *Module) Failed() bool { return m.failed }
-
-// CheckPeer verifies the peer's heartbeat; when it is older than timeout
-// (or the peer is marked failed), the module takes over the mirrored
-// state: every suspended-host mapping and scheduled wake of the peer is
-// re-registered locally. It reports whether a takeover happened.
-func (m *Module) CheckPeer(timeout simtime.Duration) bool {
-	if m.peer == nil || m.failed {
-		return false
-	}
-	now := m.engine.Now()
-	if !m.peer.failed && now-m.peer.lastBeat <= simtime.Time(timeout) {
-		return false
-	}
-	// Peer is dead: adopt its mirrored mappings. Deterministic order so
-	// takeover is replayable.
-	if m.mirrorCopy != nil {
-		macs := make([]netsim.MAC, 0, len(m.mirrorCopy.hostVMs))
-		for mac := range m.mirrorCopy.hostVMs {
-			macs = append(macs, mac)
-		}
-		sort.Slice(macs, func(i, j int) bool { return macs[i] < macs[j] })
-		for _, mac := range macs {
-			if _, already := m.hostVMs[mac]; already {
-				continue
-			}
-			wakeAt, hasDate := m.mirrorCopy.wakeDates[mac]
-			m.HostSuspended(mac, m.mirrorCopy.hostVMs[mac], wakeAt, hasDate)
-		}
-	}
-	// Cancel the dead peer's pending timers so hosts are not woken twice.
-	for mac, t := range m.peer.schedule {
-		t.Cancel()
-		delete(m.peer.schedule, mac)
-	}
-	m.peer.failed = true
-	m.takeovers++
-	return true
-}
-
-// snapshot deep-copies the replicable state.
-func (m *Module) snapshot() *state {
-	s := &state{
-		hostVMs:   make(map[netsim.MAC][]netsim.VMID),
-		wakeDates: make(map[netsim.MAC]simtime.Time),
-	}
-	for mac, vms := range m.hostVMs {
-		s.hostVMs[mac] = append([]netsim.VMID(nil), vms...)
-	}
-	for mac, at := range m.wakeDates {
-		s.wakeDates[mac] = at
-	}
-	return s
-}
-
-// syncToPeer pushes a fresh snapshot to the peer's mirror buffer. In the
-// paper modules mirror each other over the network; here the copy is
-// synchronous and incorruptible, which is the property the fault
-// tolerance needs.
-func (m *Module) syncToPeer() {
-	if m.peer != nil && !m.peer.failed {
-		m.peer.mirrorCopy = m.snapshot()
-	}
-}
-
-// Stats returns (scheduled wakes fired, packet wakes fired, takeovers).
-func (m *Module) Stats() (scheduled, packet, takeovers uint64) {
-	return m.scheduledWakes, m.packetWakes, m.takeovers
+// Stats returns (scheduled wakes fired, packet wakes fired).
+func (m *Module) Stats() (scheduled, packet uint64) {
+	return m.scheduledWakes, m.packetWakes
 }
 
 // String renders a diagnostic summary.
 func (m *Module) String() string {
-	return fmt.Sprintf("waking[%s]{suspended=%d scheduled=%d failed=%v}",
-		m.Name, len(m.sw.SuspendedHosts()), len(m.schedule), m.failed)
+	return fmt.Sprintf("waking[%s]{suspended=%d scheduled=%d}",
+		m.Name, len(m.sw.SuspendedHosts()), len(m.schedule))
 }
 
 // PendingWakeDate returns the registered waking date of a suspended
@@ -275,9 +170,7 @@ func (m *Module) PendingWakeDate(mac netsim.MAC) (simtime.Time, bool) {
 }
 
 // RestoreCounters overwrites the module's cumulative wake counters with
-// previously captured values, for run checkpoints. Takeovers are not
-// restorable (checkpointed scenario runs never exercise peer failover);
-// they restart at zero.
+// previously captured values, for run checkpoints.
 func (m *Module) RestoreCounters(scheduledWakes, packetWakes uint64) {
 	m.scheduledWakes = scheduledWakes
 	m.packetWakes = packetWakes

@@ -25,7 +25,7 @@ func TestScheduledWakeFiresAheadOfTime(t *testing.T) {
 	if len(woken) != 1 || woken[0] != 3 {
 		t.Fatalf("woken = %v at t=99", woken)
 	}
-	sched, pkt, _ := m.Stats()
+	sched, pkt := m.Stats()
 	if sched != 1 || pkt != 0 {
 		t.Fatalf("stats = %d %d", sched, pkt)
 	}
@@ -75,79 +75,6 @@ func TestPastWakeDateFiresImmediately(t *testing.T) {
 	}
 }
 
-func TestMirrorTakeover(t *testing.T) {
-	e := sim.New()
-	var woken []netsim.MAC
-	a := newTestModule("rack0", e, &woken)
-	b := newTestModule("rack1", e, &woken)
-	Pair(a, b)
-	a.Heartbeat()
-	b.Heartbeat()
-	// b registers a suspended host with a scheduled wake at t=500.
-	b.HostSuspended(8, []netsim.VMID{80, 81}, 500, true)
-	// b dies at t=100.
-	e.RunUntil(100)
-	b.Fail()
-	// a detects the dead peer (timeout 30s since last beat at t=0).
-	if !a.CheckPeer(30) {
-		t.Fatal("takeover should trigger")
-	}
-	_, _, takeovers := a.Stats()
-	if takeovers != 1 {
-		t.Fatalf("takeovers = %d", takeovers)
-	}
-	// a now owns the mapping: a packet to VM 80 wakes host 8 via a.
-	if !a.PacketArrived(netsim.Packet{Dst: 80}) {
-		t.Fatal("survivor should hold the dead peer's mappings")
-	}
-	// The scheduled wake still happens exactly once (b's timer was
-	// canceled, a's re-registered one fires at 499).
-	woken = woken[:0]
-	e.RunUntil(600)
-	if len(woken) != 1 || woken[0] != 8 {
-		t.Fatalf("scheduled wake after takeover = %v", woken)
-	}
-}
-
-func TestCheckPeerHealthy(t *testing.T) {
-	e := sim.New()
-	var woken []netsim.MAC
-	a := newTestModule("a", e, &woken)
-	b := newTestModule("b", e, &woken)
-	Pair(a, b)
-	b.Heartbeat()
-	e.RunUntil(10)
-	if a.CheckPeer(30) {
-		t.Fatal("healthy peer must not trigger takeover")
-	}
-	if a.CheckPeer(5) == false {
-		// beat at 0, now 10, timeout 5: dead.
-		t.Fatal("stale heartbeat should trigger takeover")
-	}
-}
-
-func TestCheckPeerNoPeer(t *testing.T) {
-	e := sim.New()
-	var woken []netsim.MAC
-	a := newTestModule("a", e, &woken)
-	if a.CheckPeer(1) {
-		t.Fatal("no peer: no takeover")
-	}
-}
-
-func TestFailedModuleDoesNotTakeover(t *testing.T) {
-	e := sim.New()
-	var woken []netsim.MAC
-	a := newTestModule("a", e, &woken)
-	b := newTestModule("b", e, &woken)
-	Pair(a, b)
-	a.Fail()
-	b.Fail()
-	if a.CheckPeer(0) {
-		t.Fatal("a failed module must not take over")
-	}
-}
-
 func TestConstructorValidation(t *testing.T) {
 	e := sim.New()
 	func() {
@@ -175,9 +102,6 @@ func TestStringer(t *testing.T) {
 	if m.String() == "" {
 		t.Fatal("empty String")
 	}
-	if m.Failed() {
-		t.Fatal("fresh module should not be failed")
-	}
 }
 
 // TestSwitchAccessor pins the packet-path accessor the workload model
@@ -192,36 +116,6 @@ func TestSwitchAccessor(t *testing.T) {
 	m.HostSuspended(4, []netsim.VMID{9}, 0, false)
 	if !m.Switch().Route(netsim.Packet{Dst: 9}) {
 		t.Fatal("switch did not route to the suspended host")
-	}
-}
-
-// TestTakeoverSkipsAlreadyAdoptedHosts covers the takeover dedup: a
-// mapping the survivor already holds (both modules were told about the
-// same suspension) must not be re-registered, or the host would get a
-// duplicate scheduled wake.
-func TestTakeoverSkipsAlreadyAdoptedHosts(t *testing.T) {
-	e := sim.New()
-	var woken []netsim.MAC
-	a := newTestModule("a", e, &woken)
-	b := newTestModule("b", e, &woken)
-	Pair(a, b)
-	// Both modules track host 7; only b tracks host 8.
-	a.HostSuspended(7, []netsim.VMID{1}, 50, true)
-	b.HostSuspended(7, []netsim.VMID{1}, 50, true)
-	b.HostSuspended(8, []netsim.VMID{2}, 60, true)
-	b.Fail()
-	if !a.CheckPeer(10) {
-		t.Fatal("takeover did not happen")
-	}
-	// One wake per host despite the shared mapping: 7 fires once (a's
-	// own schedule; the adopted copy was skipped), 8 fires once.
-	e.RunUntil(100)
-	count := map[netsim.MAC]int{}
-	for _, mac := range woken {
-		count[mac]++
-	}
-	if count[7] != 1 || count[8] != 1 {
-		t.Fatalf("wake counts %v, want one each for hosts 7 and 8", count)
 	}
 }
 
@@ -250,7 +144,7 @@ func TestFireScheduledEarly(t *testing.T) {
 	if len(woken) != 1 || woken[0] != 4 {
 		t.Fatalf("woken = %v", woken)
 	}
-	sched, _, _ := m.Stats()
+	sched, _ := m.Stats()
 	if sched != 1 {
 		t.Fatalf("scheduled wakes = %d, want 1", sched)
 	}
@@ -307,7 +201,7 @@ func TestCheckpointAccessors(t *testing.T) {
 		t.Fatal("fired wake still reports a pending date")
 	}
 	m.RestoreCounters(7, 9)
-	if sched, pkt, _ := m.Stats(); sched != 7 || pkt != 9 {
+	if sched, pkt := m.Stats(); sched != 7 || pkt != 9 {
 		t.Fatalf("Stats after RestoreCounters = %d, %d; want 7, 9", sched, pkt)
 	}
 }
